@@ -17,8 +17,12 @@ restored-and-continued run, in different processes):
   a deterministic order, and unpickling replays that order);
 * sets by *sorted element digests*, because set iteration order depends
   on ``PYTHONHASHSEED`` for str elements;
-* functions (incl. closures) as qualname + marshalled code + cell
-  digests — behaviourally identical closures digest equal;
+* functions (incl. closures) as qualname + structural code + cell
+  digests — behaviourally identical closures digest equal.  Code
+  constants are hashed standalone, outside the aliasing memo: the
+  compiler shares equal constant tuples (e.g. keyword-name tuples)
+  between the functions of one module, but a function restored from a
+  snapshot gets its own copies, and that must not change the digest;
 * shared references and cycles via a memo of traversal-order labels, so
   aliasing is part of the digest (two threads sharing one barrier differ
   from two threads with private barriers).
@@ -39,7 +43,7 @@ from repro.checkpoint.surface import SNAPSHOT_SURFACES
 
 #: Bump when the digest algorithm itself changes (recorded by snapshot
 #: headers so a version mismatch is reported instead of a false diff).
-DIGEST_ALGO = "repro-digest-v1"
+DIGEST_ALGO = "repro-digest-v2"
 
 
 class _Hasher:
@@ -132,7 +136,9 @@ def _walk_code(hasher: _Hasher, code: types.CodeType) -> None:
         if isinstance(const, types.CodeType):
             _walk_code(hasher, const)
         else:
-            _walk(hasher, const)
+            sub = _Hasher()  # immutable literal: identity is not state
+            _walk(sub, const)
+            hasher.raw(sub.h.digest())
 
 
 def _walk(hasher: _Hasher, obj) -> None:

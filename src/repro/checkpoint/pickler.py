@@ -22,6 +22,10 @@ is not importable — or was ``__main__``, which is a *different* module
 in the restoring process — the globals captured at save time are used
 instead.
 
+Classes that an older build pickled by reference but this build no
+longer has are looked up under their new names (:data:`MOVED_CLASSES`),
+so snapshots written before such a change still load.
+
 Determinism note: ``marshal`` output is stable for a given CPython
 version, which is also the natural compatibility boundary of a snapshot
 (the header records the Python version; see :mod:`repro.checkpoint.snapshot`).
@@ -41,6 +45,13 @@ from typing import Any, Optional
 #: Modules whose functions must never be captured by value (the
 #: reconstructors below live here; capturing them would recurse).
 _SELF_MODULE = __name__
+
+#: ``(module, name)`` pickled by older builds -> where the class lives
+#: now.  The removed macro-tick engine held only its machine, exactly
+#: like the event engine, so its snapshots continue on ``events``.
+MOVED_CLASSES: dict[tuple[str, str], tuple[str, str]] = {
+    ("repro.sim.fastpath", "FastPathEngine"): ("repro.sim.events", "EventEngine"),
+}
 
 
 class SnapshotPicklingError(TypeError):
@@ -203,5 +214,11 @@ def dumps(obj: Any, protocol: int = pickle.DEFAULT_PROTOCOL) -> bytes:
     return buf.getvalue()
 
 
+class _Unpickler(pickle.Unpickler):
+    def find_class(self, module: str, name: str) -> Any:
+        module, name = MOVED_CLASSES.get((module, name), (module, name))
+        return super().find_class(module, name)
+
+
 def loads(data: bytes) -> Any:
-    return pickle.loads(data)
+    return _Unpickler(io.BytesIO(data)).load()

@@ -156,9 +156,9 @@ class ThermalModel:
     def _note_scale(self, i: int, new: float) -> None:
         """Update one cluster's throttle scale, tracing the transitions.
 
-        ``apply_throttling`` runs live on both engine paths (macro-tick
-        replay steps it too), so begin/end events land at identical sim
-        times regardless of the fastpath setting.
+        ``apply_throttling`` runs live on both engines (a replayed tick
+        steps it too), so begin/end events land at identical sim times
+        regardless of the engine.
         """
         old = self._scale[i]
         tr = self.tracer

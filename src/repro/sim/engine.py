@@ -30,22 +30,20 @@ programs.
 Engines
 -------
 
-Three interchangeable engines drive the loop (``Machine(engine=...)``):
+Two interchangeable engines drive the loop (``Machine(engine=...)``):
 
-* ``"ticks"`` — the plain single-tick loop above; the reference.
-* ``"macro"`` — the steady-state macro-tick engine in
-  :mod:`repro.sim.fastpath`: record one tick, replay it while guards
-  hold, polling every guard between replays.
-* ``"events"`` — the event-driven engine in :mod:`repro.sim.events`:
-  the recorded guards become a queue of pending events (phase change,
-  mux rotation, wake-up, timed fault, overflow crossing) and the span
-  leaps straight to the earliest one, plus sticky-placement scheduling
-  reuse and adaptive record back-off.
+* ``"events"`` (the default) — the event-driven engine in
+  :mod:`repro.sim.events`: record one steady tick, turn its replay
+  guards into a queue of pending events (phase change, mux rotation,
+  wake-up, timed fault, overflow crossing) and leap straight to the
+  earliest one, plus sticky-placement scheduling reuse and adaptive
+  record back-off.
+* ``"ticks"`` — the plain single-tick loop above; the reference the
+  fast engine is checked against.
 
-All three produce bit-identical state (gated by the engine parity
-matrix in ``tests/test_fastpath_parity.py``).  The legacy ``fastpath``
-bool maps True -> "macro", False -> "ticks" when ``engine`` is not
-given.
+Both produce bit-identical state (gated by the parity matrix in
+``tests/test_fastpath_parity.py`` and the differential fuzzer in
+``tests/test_engine_fuzz.py``).
 """
 
 from __future__ import annotations
@@ -78,6 +76,10 @@ from repro.sim.workload import (
     PhaseRates,
     arch_event_rates,
 )
+
+#: Engine names accepted by ``Machine(engine=...)``; the first is the
+#: reference the other is checked against.
+ENGINES = ("ticks", "events")
 
 #: Safety valve: max control ops a thread may run inside one time slice.
 MAX_CONTROL_OPS_PER_SLICE = 100_000
@@ -153,7 +155,6 @@ class SimTimeout(RuntimeError):
         "hotplug_hooks",
         "last_power",
         "last_checkpoint_path",
-        "fastpath",
         "engine",
         "tracer",
         "_next_tid",
@@ -172,7 +173,6 @@ class SimTimeout(RuntimeError):
     ),
     rebuild="_init_snapshot_caches",
     digest_exclude=(
-        "fastpath",
         "engine",
         "_fastpath_engine",
         "last_checkpoint_path",
@@ -196,16 +196,11 @@ class Machine:
         seed: int = 0,
         migrate_jitter: float = 0.0,
         rebalance_jitter: float = 0.0,
-        fastpath: bool = True,
-        engine: Optional[str] = None,
+        engine: str = "events",
         trace=None,
     ):
-        if engine is None:
-            engine = "macro" if fastpath else "ticks"
-        if engine not in ("ticks", "macro", "events"):
-            raise ValueError(
-                f"unknown engine {engine!r}; want 'ticks', 'macro' or 'events'"
-            )
+        if engine not in ENGINES:
+            raise ValueError(f"unknown engine {engine!r}; want 'ticks' or 'events'")
         self.engine = engine
         self.spec = spec
         self.topology = spec.topology
@@ -239,9 +234,9 @@ class Machine:
         #: Called as ``hook(cpu_id, online)`` after a CPU changes hotplug
         #: state (the perf subsystem parks/resumes events through this).
         self.hotplug_hooks: list[HotplugHook] = []
-        #: Hooks the macro-tick engine may batch over (their per-tick
+        #: Hooks the event engine may replay over (their per-tick
         #: effects are fully captured by the tick recorder).  Hooks not
-        #: registered here disable macro-ticking, never correctness.
+        #: registered here disable replay, never correctness.
         self._fastpath_safe_hooks: list = []
         self.last_power: Optional[PowerSample] = None
         # The TSC / architectural timer rate (invariant across the package).
@@ -253,12 +248,7 @@ class Machine:
         #: ``System.save``); surfaced by SimTimeout for diagnosability.
         self.last_checkpoint_path: Optional[str] = None
 
-        self.fastpath = engine != "ticks"
-        if engine == "macro":
-            from repro.sim.fastpath import FastPathEngine
-
-            self._fastpath_engine = FastPathEngine(self)
-        elif engine == "events":
+        if engine == "events":
             from repro.sim.events import EventEngine
 
             self._fastpath_engine = EventEngine(self)
@@ -270,12 +260,22 @@ class Machine:
 
         Event-rate vector caches are identity-keyed hot memos over a
         value-keyed canonical cache (see ``_rate_vec``); ``_rec`` is the
-        active tick recorder (fast path only; None on every plain tick);
-        ``_sched_cache`` replays provably side-effect-free sticky
-        placements (event engine only — the other engines exercise the
-        scheduler every tick, which is what keeps the cache honest under
-        the parity matrix).
+        active tick recorder (event engine only; None on every plain
+        tick); ``_sched_cache`` replays provably side-effect-free sticky
+        placements (event engine only — the reference engine exercises
+        the scheduler every tick, which is what keeps the cache honest
+        under the parity matrix).
+
+        A snapshot written by an older build (which still had the
+        ``"macro"`` engine and a ``fastpath`` flag) loses the flag, and a
+        ``"macro"`` one continues on ``"events"``: every engine computes
+        the same state, so the restored run digests equal to an
+        uninterrupted one.  The unpickler maps the old engine class (see
+        :mod:`repro.checkpoint.pickler`).
         """
+        self.__dict__.pop("fastpath", None)
+        if getattr(self, "engine", None) == "macro":
+            self.engine = "events"
         self._rate_vecs_by_id: dict = {}
         self._rate_vecs_by_value: dict = {}
         self._rec = None
@@ -754,9 +754,9 @@ class Machine:
         zero here and patched from accumulated seconds at flush time.
         """
         key = (id(ct), id(rates))
-        vec = self._rate_vecs_by_id.get(key)
-        if vec is not None:
-            return vec
+        hit = self._rate_vecs_by_id.get(key)
+        if hit is not None:
+            return hit[0]
         vkey = (
             id(ct),
             rates.ipc,
@@ -778,7 +778,10 @@ class Machine:
             self._rate_vecs_by_value[vkey] = entry
         if len(self._rate_vecs_by_id) >= _RATE_VEC_ID_CACHE_CAP:
             self._rate_vecs_by_id.clear()
-        self._rate_vecs_by_id[key] = entry[0]
+        # Pin this ``rates`` object too: a rates function may return a
+        # fresh PhaseRates per call, and a freed one's id can be reused
+        # by a PhaseRates with different values.
+        self._rate_vecs_by_id[key] = (entry[0], rates)
         return entry[0]
 
     # -- convenience runners ---------------------------------------------------

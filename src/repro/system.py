@@ -28,10 +28,20 @@ class System:
         migrate_jitter: float = 0.0,
         rebalance_jitter: float = 0.0,
         expose_cpu_types: bool = False,
-        fastpath: bool = True,
-        engine: Optional[str] = None,
+        engine: str = "events",
         trace=None,
+        fastpath: Optional[bool] = None,
     ):
+        """Boot ``spec`` (a :class:`MachineSpec` or preset name).
+
+        ``engine`` picks how the machine advances: ``"events"`` (the
+        default, event-driven leaping) or ``"ticks"`` (the single-tick
+        reference); both produce bit-identical state.  ``fastpath`` is
+        the older spelling, still accepted because the repository
+        benchmark passes it: False selects ``"ticks"``, True the default.
+        """
+        if fastpath is not None:
+            engine = "events" if fastpath else "ticks"
         if isinstance(spec, str):
             try:
                 spec = MACHINE_PRESETS[spec]()
@@ -47,7 +57,6 @@ class System:
             seed=seed,
             migrate_jitter=migrate_jitter,
             rebalance_jitter=rebalance_jitter,
-            fastpath=fastpath,
             engine=engine,
             trace=trace,
         )
@@ -87,7 +96,6 @@ class System:
             "spec": self.spec.name,
             "sim_time_s": self.machine.now_s,
             "ticks": self.machine.clock.ticks,
-            "fastpath": self.machine.fastpath,
             "engine": self.machine.engine,
             "state_digest": self.state_digest(),
         }
@@ -119,10 +127,9 @@ class System:
     def state_digest(self) -> str:
         """Stable hash over the snapshot surface (see
         :mod:`repro.checkpoint.digest`).  Two systems digest equal iff
-        their observable simulated state is bit-identical; engine-path
-        selection (``engine``/``fastpath``) is excluded, so single-tick,
-        macro-tick and event-driven runs of one workload must digest
-        equal."""
+        their observable simulated state is bit-identical; the engine
+        selection is excluded, so single-tick and event-driven runs of
+        one workload must digest equal."""
         from repro.checkpoint.digest import state_digest
 
         return state_digest(self)

@@ -33,7 +33,7 @@ def _build_system(ns):
         dt_s=ns.dt_s,
         seed=ns.seed,
         migrate_jitter=ns.migrate_jitter,
-        fastpath=not ns.no_fastpath,
+        engine=ns.engine,
         trace=TraceConfig(categories=categories, capacity=ns.capacity),
     )
 
@@ -108,7 +108,10 @@ def main(argv=None) -> int:
     run.add_argument("--chrome", metavar="PATH", help="write Perfetto JSON")
     run.add_argument("--text", metavar="PATH", help="write the text dump")
     run.add_argument(
-        "--no-fastpath", action="store_true", help="force single-tick stepping"
+        "--engine",
+        choices=("ticks", "events"),
+        default="events",
+        help="engine to advance the machine with (ticks: single-tick reference)",
     )
     ns = parser.parse_args(argv)
 

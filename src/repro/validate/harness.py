@@ -281,7 +281,7 @@ FaultPlanFn = Callable[[System], object]
 
 def _build_system(
     machine: str,
-    engine: Optional[str],
+    engine: str,
     seed: int,
     dt_s: float,
     fault_plan_fn: Optional[FaultPlanFn],
@@ -307,7 +307,7 @@ def _rapl_snapshot(system: System) -> dict[str, float]:
 
 def _run_matrix_once(
     machine: str,
-    engine: Optional[str],
+    engine: str,
     seed: int,
     scale: float,
     batch_index: int,
@@ -420,7 +420,7 @@ def _mux_instructions(ct: CoreType) -> float:
 
 def _run_mux_once(
     machine: str,
-    engine: Optional[str],
+    engine: str,
     seed: int,
     dt_s: float,
 ) -> dict[tuple[str, str], tuple]:
@@ -482,7 +482,7 @@ def _run_mux_once(
 
 def run_validation(
     machine: str = "raptor-lake-i7-13700",
-    engine: Optional[str] = None,
+    engine: str = "events",
     seed: int = 0,
     scales: tuple[float, ...] = DEFAULT_SCALES,
     dt_s: float = 1e-4,
@@ -512,7 +512,7 @@ def run_validation(
 
     card = Scorecard(
         machine=machine,
-        engine=engine or "auto",
+        engine=engine,
         seed=seed,
         scales=list(scales),
     )

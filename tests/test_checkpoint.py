@@ -49,14 +49,15 @@ def _spawn_workload(system):
 class TestRestoreEquivalence:
     @pytest.mark.parametrize("fastpath", [True, False])
     def test_restore_then_run_is_bit_identical(self, tmp_path, fastpath):
+        engine = "events" if fastpath else "ticks"
         g0 = global_counter_state()
-        straight = System(MACHINE, dt_s=0.001, fastpath=fastpath)
+        straight = System(MACHINE, dt_s=0.001, engine=engine)
         _spawn_workload(straight)
         straight.machine.run_until_done(straight.machine.threads, max_s=10)
         d_straight = straight.state_digest()
 
         set_global_counter_state(g0)
-        snapped = System(MACHINE, dt_s=0.001, fastpath=fastpath)
+        snapped = System(MACHINE, dt_s=0.001, engine=engine)
         _spawn_workload(snapped)
         snapped.machine.run_for(0.05)
         path = str(tmp_path / "mid.snap")
@@ -69,6 +70,56 @@ class TestRestoreEquivalence:
         # Saving must not have perturbed the donor either.
         snapped.machine.run_until_done(snapped.machine.threads, max_s=10)
         assert snapped.state_digest() == d_straight
+
+    def test_macro_engine_snapshot_continues_on_events(self, tmp_path, monkeypatch):
+        """Older builds had a ``"macro"`` engine, a ``fastpath`` flag on
+        the machine, and pickled the engine object as
+        ``repro.sim.fastpath.FastPathEngine``.  Such a snapshot (e.g. a
+        worker checkpoint from before an upgrade) restores onto
+        ``events`` and lands on the uninterrupted run's digest."""
+        import types
+
+        from repro.sim.events import EventEngine, SchedCache
+
+        g0 = global_counter_state()
+        straight = System(MACHINE, dt_s=0.001, engine="ticks")
+        _spawn_workload(straight)
+        straight.machine.run_until_done(straight.machine.threads, max_s=10)
+        d_straight = straight.state_digest()
+
+        set_global_counter_state(g0)
+        old = System(MACHINE, dt_s=0.001)
+        _spawn_workload(old)
+        old.machine.run_for(0.05)
+        # Dress the machine the way an older build pickled it.
+        legacy = types.ModuleType("repro.sim.fastpath")
+
+        class FastPathEngine:
+            def __init__(self, machine):
+                self.m = machine
+
+        FastPathEngine.__module__ = legacy.__name__
+        FastPathEngine.__qualname__ = "FastPathEngine"
+        legacy.FastPathEngine = FastPathEngine
+        machine = old.machine
+        machine.engine = "macro"
+        machine.fastpath = True
+        machine._fastpath_engine = FastPathEngine(machine)
+        path = str(tmp_path / "macro.snap")
+        with monkeypatch.context() as mp:
+            mp.setitem(sys.modules, legacy.__name__, legacy)
+            old.save(path)
+        assert read_header(path)["meta"]["engine"] == "macro"
+
+        restored = System.restore(path)
+        machine = restored.machine
+        assert machine.engine == "events"
+        assert not hasattr(machine, "fastpath")
+        assert type(machine._fastpath_engine) is EventEngine
+        assert machine._fastpath_engine.m is machine
+        assert isinstance(machine._sched_cache, SchedCache)
+        machine.run_until_done(machine.threads, max_s=10)
+        assert restored.state_digest() == d_straight
 
     def test_fresh_process_restore_via_cli(self, tmp_path):
         """The ``python -m repro.checkpoint run`` driver replays the tail
@@ -280,6 +331,22 @@ class TestDigest:
         f = lambda x: x * scale  # noqa: E731
         assert state_digest(loads(dumps(f))) == state_digest(f)
 
+    def test_shared_code_constants_do_not_change_the_digest(self):
+        """The compiler shares equal constant tuples between functions
+        of one module (here the keyword-name tuple ``('key',)``); each
+        restored closure gets its own copy.  That sharing is not state,
+        so a restored pair of closures must digest like the originals."""
+
+        def f(x):
+            return dict(key=x)
+
+        def g(x):
+            return dict(key=x + 1)
+
+        shared = [c for c in f.__code__.co_consts if isinstance(c, tuple)]
+        assert any(c in g.__code__.co_consts for c in shared)
+        assert state_digest(loads(dumps([f, g]))) == state_digest([f, g])
+
     def test_aliasing_is_part_of_the_digest(self):
         shared = [1, 2]
         assert state_digest([shared, shared]) != state_digest(
@@ -294,8 +361,8 @@ class TestDigest:
         assert state_digest(0.0) != state_digest(-0.0)
 
     def test_digest_excludes_engine_path_but_not_state(self):
-        a = System(MACHINE, dt_s=0.01, fastpath=True)
-        b = System(MACHINE, dt_s=0.01, fastpath=False)
+        a = System(MACHINE, dt_s=0.01, engine="events")
+        b = System(MACHINE, dt_s=0.01, engine="ticks")
         assert a.state_digest() == b.state_digest()
         b.machine.run_for(0.01)
         assert a.state_digest() != b.state_digest()

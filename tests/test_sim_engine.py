@@ -75,6 +75,29 @@ class TestExecution:
         # IPC 2.0: cycles = instructions / 2.
         assert totals[ArchEvent.CYCLES] == pytest.approx(5e6, rel=1e-6)
 
+    def test_fresh_rates_objects_get_their_own_event_rates(self):
+        """A rates function may build a new PhaseRates per call (as
+        JobProfile.rates does).  Freed objects' ids get reused, so the
+        identity-keyed rate-vector cache must never hand one phase the
+        event rates of another."""
+        from repro.system import System
+        from repro.workloads import JOB_PROFILES
+
+        system = System("raptor-lake-i7-13700", dt_s=0.001)
+        p_cpu = system.topology.cpus_of_type("P-core")[0]
+        names = ["dgemm-kernel", "pointer-chase"] * 5
+        t = system.machine.spawn_program(
+            "w",
+            [ComputePhase(2e7, JOB_PROFILES[n].rates) for n in names],
+            affinity={p_cpu},
+        )
+        assert system.machine.run_until_done([t], max_s=10)
+        ct = system.topology.core(p_cpu).ctype
+        expected = sum(JOB_PROFILES[n].expected_counts(ct, 2e7) for n in names)
+        totals = t.counters_total()
+        for ev in (ArchEvent.CYCLES, ArchEvent.FP_OPS, ArchEvent.LLC_MISSES):
+            assert totals[ev] == pytest.approx(expected[ev], rel=1e-9)
+
     def test_unpinned_thread_prefers_biggest_core(self, raptor):
         t = raptor.machine.spawn_program("w", [ComputePhase(1e6, RATES)])
         raptor.machine.run_until_done([t], max_s=10)

@@ -1,13 +1,13 @@
-"""Trace parity: tracing is a pure observer on both engine paths.
+"""Trace parity: tracing is a pure observer on both engines.
 
-Every scenario runs four ways — ``fastpath`` × ``trace`` — and asserts:
+Every scenario runs four ways — ``engine`` × ``trace`` — and asserts:
 
 * all four runs produce the *same* ``state_digest`` (tracing never
   perturbs simulated state, and the tracer itself is digest-excluded);
-* the fast-path and slow-path traces are **identical event sequences**
-  (same events, same simulated timestamps, same args) — the tentpole
-  contract that lets the macro-tick engine skip the scheduler and the
-  perf accrual hooks during replay without losing events;
+* the ``events`` and ``ticks`` traces are **identical event sequences**
+  (same events, same simulated timestamps, same args) — the contract
+  that lets the event engine skip the scheduler and the perf accrual
+  hooks during replay without losing events;
 * workload results (PAPI values) are bit-identical everywhere.
 """
 
@@ -32,7 +32,7 @@ RATES = PhaseRates(
 
 
 def _run_matrix(build, **system_kw):
-    """Run ``build(system) -> result`` under fastpath × trace.
+    """Run ``build(system) -> result`` under engine × trace.
 
     Global counters (the perf event-id allocator) are rewound between
     runs so all four systems hand out identical ids, making digests and
@@ -40,12 +40,12 @@ def _run_matrix(build, **system_kw):
     """
     g0 = global_counter_state()
     out = {}
-    for fastpath in (False, True):
+    for engine in ("ticks", "events"):
         for trace in (False, True):
             set_global_counter_state(g0)
-            system = System(MACHINE, fastpath=fastpath, trace=trace, **system_kw)
+            system = System(MACHINE, engine=engine, trace=trace, **system_kw)
             result = build(system)
-            out[(fastpath, trace)] = (system, result)
+            out[(engine, trace)] = (system, result)
     return out
 
 
@@ -56,9 +56,9 @@ def _assert_parity(runs):
     assert len({repr(r) for r in results.values()}) == 1, (
         f"results diverge: {results}"
     )
-    slow = to_text(runs[(False, True)][0].tracer.events_list())
-    fast = to_text(runs[(True, True)][0].tracer.events_list())
-    assert slow == fast, "fast-path trace differs from slow-path trace"
+    slow = to_text(runs[("ticks", True)][0].tracer.events_list())
+    fast = to_text(runs[("events", True)][0].tracer.events_list())
+    assert slow == fast, "events-engine trace differs from ticks-engine trace"
     return slow
 
 
@@ -73,7 +73,7 @@ def _compute_thread(system, instructions=3e9, name="w0", affinity=None):
 class TestTraceParity:
     def test_steady_papi_counting(self):
         """The hot case: a steady compute phase under a counting
-        EventSet, where the fast path macro-batches almost every tick."""
+        EventSet, where the event engine replays almost every tick."""
 
         def build(system):
             papi = Papi(system)
@@ -91,7 +91,7 @@ class TestTraceParity:
 
     def test_jittered_migrations(self):
         """Interference migrations: every placement change must appear,
-        with matched switch-out/in brackets, on both paths."""
+        with matched switch-out/in brackets, on both engines."""
 
         def build(system):
             ts = [_compute_thread(system, name=f"w{i}") for i in range(3)]
@@ -105,7 +105,7 @@ class TestTraceParity:
 
     def test_multiplex_rotation_events(self):
         """Multiplex slot changes are transition-only emissions; the
-        recorder's mux guard must break batches at exactly those ticks."""
+        recorder's mux guard must end spans at exactly those ticks."""
 
         def build(system):
             papi = Papi(system)
@@ -145,8 +145,8 @@ class TestTraceParity:
         assert " perf overflow " in text
 
     def test_fault_injection_events(self):
-        """Hotplug + sensor-dropout firings break batches and trace the
-        same way on both paths; displaced threads get switch-outs."""
+        """Hotplug + sensor-dropout firings end replay spans and trace the
+        same way on both engines; displaced threads get switch-outs."""
         from repro.faults.plan import (
             CpuOffline,
             CpuOnline,

@@ -7,7 +7,7 @@ Runs the workload x machine x event validation matrix (see
     python tools/validate.py                      # all preset machines
     python tools/validate.py --machines raptor-lake-i7-13700
     python tools/validate.py --strict             # any 'broken' -> exit 1
-    python tools/validate.py --engines ticks,macro,events
+    python tools/validate.py --engines ticks,events
     python tools/validate.py --json scorecard.json
     python tools/validate.py --selftest           # seeded-bug mutation test
 
@@ -51,8 +51,8 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     parser.add_argument(
         "--engines",
         default=None,
-        help="comma-separated engines to cross-check (ticks,macro,events); "
-        "default: single auto-selected engine",
+        help="comma-separated engines to cross-check (ticks,events); "
+        "default: events only",
     )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
@@ -126,7 +126,7 @@ def main(argv: list[str]) -> int:
     engines = (
         [e.strip() for e in args.engines.split(",") if e.strip()]
         if args.engines
-        else [None]
+        else ["events"]
     )
     summary_rows = []
     cards = {}
