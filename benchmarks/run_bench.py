@@ -191,7 +191,7 @@ def fleet_bench(baseline_path: Path, rounds: int, warmup: int) -> int:
     """Fleet throughput: jobs/s of a 16-job sweep at pool sizes 1/2/4.
 
     Each round runs the 16-job ``fleet``-preset sweep through the real
-    :class:`~repro.supervisor.Supervisor` (subprocess workers, journal,
+    :class:`~repro.supervisor.Supervisor` (forked workers, journal,
     heartbeats — the full service path) into a throwaway directory, and
     times the whole sweep.  Results are merged into the ``fleet``
     section of ``BENCH_simulator.json`` without touching the engine

@@ -10,6 +10,11 @@ failure modes are classic and brutal to debug:
 * a worker ``Popen``\\ ed into the supervisor's session dies with it and
   escapes group-kill/orphan-reap semantics — every managed spawn must
   pass ``start_new_session=True`` (``FORK-SAFETY``);
+* the child of an ``os.fork()`` that returns or raises into its caller
+  runs a second copy of the parent's loop (the daemon's, the zygote's),
+  so its branch must leave through ``os._exit`` on every path, and a
+  child that runs a job must call ``os.setsid()`` first, as a
+  ``Popen``\\ ed worker must start a new session (``FORK-SAFETY``);
 * a Python signal handler runs between two arbitrary bytecodes of the
   main loop: touching the journal (fsync!), logging, or allocating in a
   handler reenters whatever the interrupted frame was doing.  Handlers
@@ -61,6 +66,14 @@ SPAWN_CALLS = {
 #: group-kill / orphan-reaping semantics hold.
 SESSION_REQUIRED_SPAWNS = {"subprocess.Popen"}
 
+#: Calls that run a job: a forked child reaching one must lead its own
+#: session first.
+JOB_ENTRY_CALLS = {
+    "repro.supervisor.worker.main",
+    "repro.supervisor.worker.run_spec",
+    "repro.supervisor.worker.run_spec_file",
+}
+
 _LOCKISH_CTORS = ("Lock", "RLock", "Semaphore", "BoundedSemaphore", "Condition")
 
 
@@ -80,14 +93,119 @@ def _is_lockish(expr: ast.expr) -> Optional[str]:
     return None
 
 
+def _is_call_stmt(stmt: ast.stmt, dotted: str, origins: dict[str, str]) -> bool:
+    return (
+        isinstance(stmt, ast.Expr)
+        and isinstance(stmt.value, ast.Call)
+        and resolve_dotted(stmt.value.func, origins) == dotted
+    )
+
+
+def _tests_zero(test: ast.expr, name: str) -> Optional[bool]:
+    """True when ``test`` holds exactly if ``name`` is 0 (``pid == 0``,
+    ``not pid``), False when exactly if it is not (``pid``, ``pid !=
+    0``, ``pid > 0``), None for any other test."""
+    def is_name(node: ast.expr) -> bool:
+        return isinstance(node, ast.Name) and node.id == name
+
+    if isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not):
+        return True if is_name(test.operand) else None
+    if is_name(test):
+        return False
+    if isinstance(test, ast.Compare) and len(test.ops) == 1:
+        left, right = test.left, test.comparators[0]
+        if is_name(right):
+            left, right = right, left
+        if is_name(left) and isinstance(right, ast.Constant) and right.value == 0:
+            if isinstance(test.ops[0], ast.Eq):
+                return True
+            if isinstance(test.ops[0], (ast.NotEq, ast.Gt)):
+                return False
+    return None
+
+
+def _fork_child_branch(scope: ast.AST, call: ast.Call) -> Optional[list[ast.stmt]]:
+    """The statements the child of ``pid = os.fork()`` runs: the branch
+    of the first later ``if`` in the same block that tests ``pid``
+    against zero.  None when there is no such ``if``."""
+    for node in walk_shallow(scope):
+        for field in ("body", "orelse", "finalbody"):
+            block = getattr(node, field, None)
+            if not isinstance(block, list):
+                continue
+            for i, stmt in enumerate(block):
+                if not (
+                    isinstance(stmt, ast.Assign)
+                    and stmt.value is call
+                    and len(stmt.targets) == 1
+                    and isinstance(stmt.targets[0], ast.Name)
+                ):
+                    continue
+                for later in block[i + 1:]:
+                    if isinstance(later, ast.If):
+                        zero = _tests_zero(later.test, stmt.targets[0].id)
+                        if zero is not None:
+                            return later.body if zero else later.orelse
+                return None
+    return None
+
+
+def _always_exits(body: list[ast.stmt], origins: dict[str, str]) -> bool:
+    """``body`` reaches ``os._exit`` on every path, exceptions included:
+    past constant assignments it is ``os._exit(...)`` itself, or a
+    ``try`` whose ``finally`` starts with it."""
+    for stmt in body:
+        if _is_call_stmt(stmt, "os._exit", origins):
+            return True
+        if (
+            isinstance(stmt, ast.Try)
+            and stmt.finalbody
+            and _is_call_stmt(stmt.finalbody[0], "os._exit", origins)
+        ):
+            return True
+        inert = isinstance(stmt, ast.Pass) or (
+            isinstance(stmt, (ast.Assign, ast.AnnAssign))
+            and isinstance(stmt.value, ast.Constant)
+        )
+        if not inert:
+            return False
+    return False
+
+
+def _unsessioned_job_calls(
+    body: list[ast.stmt], origins: dict[str, str], sessioned: bool = False
+) -> Iterator[ast.Call]:
+    """Job-entry calls in ``body`` not preceded, on the straight-line
+    path, by an ``os.setsid()`` statement."""
+    for stmt in body:
+        if _is_call_stmt(stmt, "os.setsid", origins):
+            sessioned = True
+        elif isinstance(stmt, (ast.Try, ast.With)):
+            yield from _unsessioned_job_calls(stmt.body, origins, sessioned)
+            if isinstance(stmt, ast.Try):
+                for block in [h.body for h in stmt.handlers] + [
+                    stmt.orelse,
+                    stmt.finalbody,
+                ]:
+                    yield from _unsessioned_job_calls(block, origins, sessioned)
+        elif not sessioned:
+            for node in ast.walk(stmt):
+                if (
+                    isinstance(node, ast.Call)
+                    and resolve_dotted(node.func, origins) in JOB_ENTRY_CALLS
+                ):
+                    yield node
+
+
 @register
 class ForkSafetyRule(Rule):
     id = "FORK-SAFETY"
     severity = Severity.ERROR
     description = (
         "no child process may be spawned while a lock is held or (for "
-        "fork) a socket is open, and managed Popen workers must lead "
-        "their own session (start_new_session=True)"
+        "fork) a socket is open, managed Popen workers must lead their "
+        "own session (start_new_session=True), and a fork child must "
+        "leave through os._exit (calling os.setsid() before any job)"
     )
     scope = SERVICE_SCOPE
 
@@ -212,6 +330,43 @@ class ForkSafetyRule(Rule):
                     "child shares the supervisor's session/group, so "
                     "group-kill and orphan-reaping cannot manage it",
                     symbol=symbols.get(id(call), ""),
+                )
+
+        # 5. A fork child leaves through os._exit on every path, and
+        #    leads its own session before it runs a job.
+        for call, dotted in spawns:
+            if dotted != "os.fork":
+                continue
+            child = _fork_child_branch(scope, call)
+            if child is None:
+                yield self.finding(
+                    module,
+                    call,
+                    "fork() without a recognizable child branch: assign "
+                    "the pid and test it (`if pid == 0:`) so the child's "
+                    "exit path can be checked",
+                    symbol=symbols.get(id(call), ""),
+                )
+                continue
+            if not _always_exits(child, origins):
+                yield self.finding(
+                    module,
+                    call,
+                    "the child branch of this fork() can return or raise "
+                    "into its caller and run a second copy of the parent's "
+                    "loop: wrap it in try/finally with os._exit(...) first "
+                    "in the finally",
+                    symbol=symbols.get(id(call), ""),
+                )
+            for job in _unsessioned_job_calls(child, origins):
+                yield self.finding(
+                    module,
+                    job,
+                    f"forked child runs {resolve_dotted(job.func, origins)}() "
+                    "before os.setsid(): it stays in the parent's process "
+                    "group, so group kills and orphan reaping cannot "
+                    "manage it",
+                    symbol=symbols.get(id(job), ""),
                 )
 
 

@@ -34,12 +34,17 @@ SNAPSHOT_SURFACES: dict[type, dict] = {}
 #: name -> (getter, setter) for process-global snapshot state.
 GLOBAL_COUNTERS: dict[str, tuple[Callable[[], int], Callable[[int], None]]] = {}
 
+#: name -> value at registration, i.e. what a fresh interpreter starts
+#: from; a worker forked from a long-lived process rewinds to it.
+IMPORT_COUNTER_STATE: dict[str, int] = {}
+
 
 def register_global_counter(
     name: str, getter: Callable[[], int], setter: Callable[[int], None]
 ) -> None:
     """Expose a module-global counter to the snapshot envelope."""
     GLOBAL_COUNTERS[name] = (getter, setter)
+    IMPORT_COUNTER_STATE[name] = getter()
 
 
 def global_counter_state() -> dict[str, int]:

@@ -4,7 +4,7 @@ See :mod:`repro.supervisor.supervisor` for the service front door,
 :mod:`repro.supervisor.pool` for the concurrent worker pool (liveness,
 migration, drain), :mod:`repro.supervisor.journal` for the crash-safe
 append-only journal, :mod:`repro.supervisor.cache` for the deterministic
-result cache, :mod:`repro.supervisor.worker` for the per-run subprocess
+result cache, :mod:`repro.supervisor.worker` for the per-run worker process
 entry, and :mod:`repro.supervisor.manifest` for the materialized sweep
 view.
 """

@@ -1,11 +1,11 @@
-"""The concurrent worker pool: N subprocess workers, liveness, migration.
+"""The concurrent worker pool: N forked workers, liveness, migration.
 
 This is the fleet engine under :class:`~repro.supervisor.supervisor.
-Supervisor`.  It admits pending runs into up to ``workers`` slots, each
-slot one ``python -m repro.supervisor.worker`` subprocess started in its
-**own session** (so a kill always takes the whole process group — no
-zombie children surviving a timeout).  The poll loop then watches every
-in-flight job three ways:
+Supervisor`.  It admits pending runs into up to ``workers`` slots.  Each
+attempt runs in a process of its own, forked from the pool's **zygote**,
+and that process leads its **own session** (so a kill always takes the
+whole process group — no zombie children surviving a timeout).  The
+poll loop then watches every in-flight job three ways:
 
 * ``poll()`` — **dead** workers are reaped and classified by exit code
   exactly as the single-worker supervisor did;
@@ -15,6 +15,25 @@ in-flight job three ways:
   checkpoint with its attempt/backoff state carried over;
 * the wall deadline — a worker that is progressing but past
   ``wall_timeout_s`` is **slow**: killed and retried from checkpoint.
+
+The zygote is one ``os.fork()`` of the pool's process, made when the
+pool is created: it already holds repro and numpy, so a job pays for a
+fork instead of an interpreter start.  It keeps only its two pipes
+(stdio goes to ``/dev/null``), freezes the GC, rewinds the registered
+global counters, blocks SIGTERM/SIGINT (they are for the daemon, whose
+drain still needs the zygote), stays in the daemon's process group and
+exits on EOF of its request pipe.  Each worker calls ``setsid()``, sends
+fd 2 to the run's ``stderr.log``, runs
+:func:`repro.supervisor.worker.run_spec_file` (the body of the ``python
+-m repro.supervisor.worker`` CLI) and leaves through ``os._exit``.  The
+zygote reaps its workers and relays their exit codes as
+``os.waitstatus_to_exitcode`` gives them, negative for a signal as
+``Popen.returncode`` was.  A worker thus sees the environment and working
+directory of the pool's process as they were when the pool was created.
+If the zygote dies, the in-flight worker groups are killed and retried
+from their checkpoints as crashes, and a new zygote is forked.
+:meth:`WorkerPool.close` reaps it.  docs/ARCHITECTURE.md has the
+details.
 
 Retries are scheduled, not slept: each failed attempt computes a
 deterministic backoff (exponential base with seedable jitter, see
@@ -30,15 +49,22 @@ remaining runs still pending in the journal, ready for ``--resume``.
 
 from __future__ import annotations
 
+import gc
 import heapq
 import json
 import os
 import random
+import select
 import signal
-import subprocess
+import sys
+import traceback
+import weakref
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+from repro.checkpoint.surface import IMPORT_COUNTER_STATE, set_global_counter_state
+from repro.supervisor import worker
 from repro.supervisor.heartbeat import (
     SLOW,
     STUCK,
@@ -62,8 +88,10 @@ from repro.trace.tracer import MetricsRegistry
 
 def default_worker_count() -> int:
     """``os.cpu_count()``-derived pool size: leave one CPU for the
-    supervisor, never exceed eight (worker startup is import-bound and
-    the fleet stops scaling long before that on sweep workloads)."""
+    supervisor, never exceed eight.  A worker starts as a fork of the
+    preloaded zygote, so startup no longer limits the fleet; the cap
+    keeps the single-threaded supervisor's poll loop ahead of its
+    workers."""
     cpus = os.cpu_count() or 1
     return max(1, min(8, cpus - 1))
 
@@ -87,11 +115,202 @@ def backoff_delay(
     return delay * (1.0 + 0.25 * rng.random())
 
 
-def _src_path() -> str:
-    """Directory to put on the worker's PYTHONPATH (the ``src`` root)."""
-    import repro
+def _keep_only_fds(*keep: int) -> None:
+    """Point stdio at ``/dev/null`` and close every other fd but ``keep``."""
+    null = os.open(os.devnull, os.O_RDWR)
+    for fd in (0, 1, 2):
+        os.dup2(null, fd)
+    low = 3
+    for fd in sorted(keep) + [os.sysconf("SC_OPEN_MAX")]:
+        os.closerange(low, fd)
+        low = fd + 1
 
-    return os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+
+def _relay_exits(replies: int) -> None:
+    """Reap every exited worker and report ``exit <pid> <code>``."""
+    while True:
+        try:
+            pid, status = os.waitpid(-1, os.WNOHANG)
+        except ChildProcessError:
+            return
+        if pid == 0:
+            return
+        code = os.waitstatus_to_exitcode(status)
+        os.write(replies, b"exit %d %d\n" % (pid, code))
+
+
+def _enter_worker(spec_path: str, zygote_fds: tuple[int, ...]) -> None:
+    """Turn a fresh zygote child into a worker: drop the zygote's
+    signal and fd state, send fd 2 to the run's ``stderr.log``."""
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGCHLD, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.default_int_handler)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
+    for fd in zygote_fds:
+        os.close(fd)
+    log = os.open(
+        os.path.join(os.path.dirname(spec_path), "stderr.log"),
+        os.O_WRONLY | os.O_CREAT | os.O_TRUNC,
+        0o644,
+    )
+    os.dup2(log, 2)
+    os.close(log)
+
+
+def _zygote_main(requests: int, replies: int) -> None:
+    """The zygote process: fork one worker per NUL-terminated spec path
+    read from ``requests``, relay pids and exit codes on ``replies``,
+    return on EOF.  See the module docstring."""
+    gc.collect()
+    _keep_only_fds(requests, replies)
+    # The Python-level streams may wrap fds just closed (a test
+    # runner's capture files); the originals wrap fds 1 and 2.
+    sys.stdout, sys.stderr = sys.__stdout__, sys.__stderr__
+    gc.freeze()
+    for sig in (signal.SIGTERM, signal.SIGINT):
+        signal.signal(sig, signal.SIG_DFL)
+    # Blocked rather than ignored: a worker inherits the mask, so a
+    # drain SIGTERM that races its fork stays pending until
+    # worker.run_spec_file has armed the handler.
+    signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM, signal.SIGINT})
+    set_global_counter_state(IMPORT_COUNTER_STATE)
+    wake_r, wake_w = os.pipe()
+    os.set_blocking(wake_w, False)
+    signal.signal(signal.SIGCHLD, lambda signum, frame: None)
+    signal.set_wakeup_fd(wake_w)
+    pending = b""
+    while True:
+        ready = select.select([requests, wake_r], [], [])[0]
+        if wake_r in ready:
+            os.read(wake_r, 4096)
+        _relay_exits(replies)
+        if requests not in ready:
+            continue
+        chunk = os.read(requests, 65536)
+        if not chunk:
+            return
+        *paths, pending = (pending + chunk).split(b"\0")
+        for spec_path in map(os.fsdecode, paths):
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    os.setsid()
+                    _enter_worker(spec_path, (requests, replies, wake_r, wake_w))
+                    code = worker.run_spec_file(spec_path)
+                except BaseException:
+                    traceback.print_exc()
+                finally:
+                    os._exit(code)
+            os.write(replies, b"pid %d\n" % pid)
+
+
+def _shut_zygote(pid: int, *fds: int) -> int:
+    """Close the zygote's pipes and reap it: it exits on EOF."""
+    for fd in fds:
+        os.close(fd)
+    _, status = os.waitpid(pid, 0)
+    return os.waitstatus_to_exitcode(status)
+
+
+class _Zygote:
+    """The pool's side of its zygote: the two pipes and the pid/exit
+    lines relayed back (``pid <pid>`` per fork, ``exit <pid> <code>``
+    per reaped worker).  EOF on the reply pipe means the zygote died."""
+
+    def __init__(self) -> None:
+        requests, self._requests = os.pipe()
+        self._replies, replies = os.pipe()
+        # Unflushed output would otherwise be written again by a child.
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                _zygote_main(requests, replies)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(requests)
+        os.close(replies)
+        self.pid = pid
+        self.alive = True
+        self.exit_code: Optional[int] = None
+        #: Relayed exit codes not yet claimed by a worker handle.
+        self.exits: dict[int, int] = {}
+        self._spawned: deque[int] = deque()
+        self._buffer = b""
+        # A pool dropped without close() still shuts its zygote down.
+        self._shut = weakref.finalize(
+            self, _shut_zygote, pid, self._requests, self._replies
+        )
+
+    def spawn(self, spec_path: str) -> Optional[int]:
+        """Fork a worker for the spec at ``spec_path``; its pid, or None
+        when the zygote is dead."""
+        data = memoryview(os.fsencode(spec_path) + b"\0")
+        try:
+            while data:
+                data = data[os.write(self._requests, data):]
+        except BrokenPipeError:
+            self.alive = False
+            return None
+        while not self._spawned:
+            if not self.pump(None):
+                return None
+        return self._spawned.popleft()
+
+    def pump(self, timeout: Optional[float] = 0.0) -> bool:
+        """Take in what the zygote sent, waiting up to ``timeout``
+        seconds (None: until something arrives).  False once dead."""
+        if self.alive and select.select([self._replies], [], [], timeout)[0]:
+            chunk = os.read(self._replies, 65536)
+            if not chunk:
+                self.alive = False
+            *lines, self._buffer = (self._buffer + chunk).split(b"\n")
+            for line in lines:
+                kind, pid, *code = line.split()
+                if kind == b"pid":
+                    self._spawned.append(int(pid))
+                else:
+                    self.exits[int(pid)] = int(code[0])
+        return self.alive
+
+    def close(self) -> None:
+        """Close both pipes and reap the zygote, which exits on EOF.
+        Idempotent."""
+        if self._shut.alive:
+            self.alive = False
+            self.exit_code = self._shut()
+
+
+class _Worker:
+    """``Popen``-like handle on one zygote-forked worker.  The zygote is
+    its parent and reaps it; the exit code arrives through the zygote."""
+
+    def __init__(self, zygote: _Zygote, pid: int):
+        self.zygote = zygote
+        self.pid = pid
+        self.returncode: Optional[int] = None
+
+    def poll(self) -> Optional[int]:
+        if self.returncode is None:
+            self.zygote.pump()
+            self.returncode = self.zygote.exits.pop(self.pid, None)
+        return self.returncode
+
+    def wait(self) -> Optional[int]:
+        """The exit code, or None if the zygote died before relaying
+        it (the pool's zygote-death handling then classifies it)."""
+        while self.poll() is None and self.zygote.pump(None):
+            pass
+        return self.returncode
+
+    def send_signal(self, sig: int) -> None:
+        if self.poll() is None:
+            os.kill(self.pid, sig)
 
 
 @dataclass
@@ -100,7 +319,7 @@ class _Job:
 
     record: RunRecord
     slot: int
-    proc: subprocess.Popen
+    proc: _Worker
     run_dir: str
     started: float
     resume_from: Optional[str]
@@ -123,7 +342,6 @@ class WorkerPool:
         journal: Journal,
         *,
         workers: int,
-        python: str,
         max_attempts: int,
         backoff_s: float,
         jitter_seed: Optional[int],
@@ -141,7 +359,6 @@ class WorkerPool:
         self.out_dir = out_dir
         self.journal = journal
         self.workers = max(1, int(workers))
-        self.python = python
         self.max_attempts = max_attempts
         self.backoff_s = backoff_s
         self.jitter_seed = jitter_seed
@@ -165,6 +382,7 @@ class WorkerPool:
         self._queue: list[tuple[float, int, RunRecord]] = []
         self._jobs: dict[int, _Job] = {}
         self._free_slots: list[int] = list(range(self.workers))
+        self._zygote = _Zygote()
 
     # -- live state ----------------------------------------------------------
 
@@ -251,6 +469,8 @@ class WorkerPool:
             self._drain_unannounced = False
             self.log("[fleet] drain requested: no new runs will start")
         now = self.clock()
+        if not self._zygote.pump():
+            self._zygote_died(now)
         if not self._draining:
             while self._free_slots and self._queue and self._queue[0][0] <= now:
                 _, _, record = heapq.heappop(self._queue)
@@ -293,6 +513,37 @@ class WorkerPool:
         self.metrics.gauge("fleet.queue_depth", value=float(self.queue_depth))
         self.metrics.gauge("fleet.in_flight", value=0.0)
 
+    def close(self) -> None:
+        """Kill any worker still in flight (the journal shows it as a
+        launch without exit, which the next boot reaps and requeues)
+        and reap the zygote.  Idempotent."""
+        for job in self._jobs.values():
+            self._kill_group(job, signal.SIGKILL)
+        self._jobs.clear()
+        self._zygote.close()
+
+    def _zygote_died(self, now: float) -> None:
+        """The zygote is gone, and with it every exit code it had not
+        relayed yet: kill those workers' groups, classify the attempts
+        as transient crashes (they retry from their checkpoints) and
+        fork a new zygote."""
+        old = self._zygote
+        self.log(
+            f"[fleet] worker zygote {old.pid} died; killing "
+            f"{len(self._jobs)} in-flight worker group(s)"
+        )
+        self.metrics.counter("fleet.zygote_restart")
+        for slot in sorted(self._jobs):
+            job = self._jobs.pop(slot)
+            self._free_slots.append(slot)
+            code = job.proc.poll()
+            if code is None:
+                self._kill_group(job, signal.SIGKILL)
+                code = -signal.SIGKILL
+            self._finish(job, code, now)
+        old.close()
+        self._zygote = _Zygote()
+
     # -- admission -----------------------------------------------------------
 
     def _pick_slot(self, free_slots: list[int], record: RunRecord) -> int:
@@ -333,22 +584,14 @@ class WorkerPool:
         spec_path = os.path.join(run_dir, "spec.json")
         atomic_write_json(spec_path, spec)
 
-        env = dict(os.environ)
-        src = _src_path()
-        existing = env.get("PYTHONPATH")
-        env["PYTHONPATH"] = src + (os.pathsep + existing if existing else "")
-
-        stderr_log = open(os.path.join(run_dir, "stderr.log"), "wb")
-        try:
-            proc = subprocess.Popen(
-                [self.python, "-m", "repro.supervisor.worker", "--spec", spec_path],
-                env=env,
-                stdout=subprocess.DEVNULL,
-                stderr=stderr_log,
-                start_new_session=True,
-            )
-        finally:
-            stderr_log.close()
+        spec_path = os.path.abspath(spec_path)
+        pid = self._zygote.spawn(spec_path)
+        if pid is None:
+            self._zygote_died(now)
+            pid = self._zygote.spawn(spec_path)
+            if pid is None:
+                raise RuntimeError("a freshly forked worker zygote died")
+        proc = _Worker(self._zygote, pid)
 
         origin = f"resuming from {resume_from}" if resume_from else "fresh start"
         self.log(
@@ -384,8 +627,8 @@ class WorkerPool:
         hb = read_heartbeat(heartbeat_path(job.run_dir))
         if hb is not None and hb.get("attempt") == job.record.attempts:
             if not job.hb_seen:
-                # First heartbeat of the attempt: startup (interpreter,
-                # imports, model construction) is over — that is itself
+                # First heartbeat of the attempt: startup (fork, spec
+                # and checkpoint load, model construction) is over — that is itself
                 # progress, or a worker whose setup exceeds the stuck
                 # window would be killed before its first sim step.
                 job.hb_seen = True

@@ -62,7 +62,6 @@ import os
 import selectors
 import signal
 import socket
-import sys
 import time
 from typing import Callable, Optional
 
@@ -106,7 +105,6 @@ class ServiceCore:
         backoff_s: float = 0.5,
         wall_timeout_s: Optional[float] = 300.0,
         checkpoint_every_s: float = 0.1,
-        python: Optional[str] = None,
         log: Callable[[str], None] = print,
         workers: Optional[int] = None,
         stuck_after_s: float = 30.0,
@@ -126,7 +124,6 @@ class ServiceCore:
         self.backoff_s = backoff_s
         self.wall_timeout_s = wall_timeout_s
         self.checkpoint_every_s = checkpoint_every_s
-        self.python = python or sys.executable
         self.log = log
         self.workers = workers if workers is not None else default_worker_count()
         self.stuck_after_s = stuck_after_s
@@ -211,7 +208,6 @@ class ServiceCore:
             self.out_dir,
             self.journal,
             workers=self.workers,
-            python=self.python,
             max_attempts=self.max_attempts,
             backoff_s=self.backoff_s,
             jitter_seed=self.jitter_seed,
@@ -499,11 +495,14 @@ class ServiceCore:
     # -- shutdown ------------------------------------------------------------
 
     def close(self) -> Manifest:
-        """Seal the journal (metrics + drain/complete), materialize the
-        manifest view and metrics snapshot.  Idempotent."""
+        """Reap the pool's zygote, seal the journal (metrics +
+        drain/complete), materialize the manifest view and metrics
+        snapshot.  Idempotent."""
         if self._closed:
             return self.manifest
         self._closed = True
+        if self.pool is not None:
+            self.pool.close()
         snapshot = self.metrics.as_dict()
         summary = self.manifest.summary()
         self.journal.append({"type": "metrics", "metrics": snapshot})

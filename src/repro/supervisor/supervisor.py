@@ -11,7 +11,7 @@ digest, one fsync per batch — steps the
 journal.  Everything the PR 3–7 supervisor guaranteed still holds and
 is still covered by the same tests:
 
-* **worker crashes** — crash-isolated subprocess per run, checkpointed
+* **worker crashes** — crash-isolated worker process per run, checkpointed
   retries with deterministic backoff (seedable jitter, injectable
   clock/sleep);
 * **wedged workers** — heartbeat liveness, process-group kills, slot
@@ -50,7 +50,6 @@ class Supervisor:
         backoff_s: float = 0.5,
         wall_timeout_s: Optional[float] = 300.0,
         checkpoint_every_s: float = 0.1,
-        python: Optional[str] = None,
         log: Callable[[str], None] = print,
         workers: Optional[int] = None,
         stuck_after_s: float = 30.0,
@@ -68,7 +67,6 @@ class Supervisor:
             backoff_s=backoff_s,
             wall_timeout_s=wall_timeout_s,
             checkpoint_every_s=checkpoint_every_s,
-            python=python,
             log=log,
             workers=workers,
             stuck_after_s=stuck_after_s,

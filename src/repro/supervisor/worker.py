@@ -1,11 +1,14 @@
-"""Subprocess worker: executes exactly one run, crash-isolated.
+"""Worker: executes exactly one run, crash-isolated.
 
 The supervisor never runs simulations in its own process — each run
-executes here, launched as ``python -m repro.supervisor.worker --spec
-spec.json``, so a segfault, SIGKILL, or runaway loop takes down only
-this worker.  Communication is file-based (crash-safe): the worker
-reads a spec, writes ``result.json`` on success or ``error.json`` on
-failure, both atomically, and reports classification via exit code:
+executes in a process of its own, so a segfault, SIGKILL, or runaway
+loop takes down only this worker.  The pool forks that process from its
+preloaded zygote (:mod:`repro.supervisor.pool`) and calls
+:func:`run_spec_file`; ``python -m repro.supervisor.worker --spec
+spec.json`` runs the same function in a fresh interpreter, for manual
+debugging.  Communication is file-based (crash-safe): the worker reads
+a spec, writes ``result.json`` on success or ``error.json`` on failure,
+both atomically, and reports classification via exit code:
 
 * 0 — success, ``result.json`` written;
 * :data:`EXIT_PERMANENT` (3) — deterministic failure (bad params,
@@ -149,14 +152,24 @@ def run_spec(spec: dict) -> int:
     return 0
 
 
+def run_spec_file(path: str) -> int:
+    """Arm the drain handler, then run the spec stored at ``path``.
+
+    SIGTERM is unblocked only once the handler is in place: a zygote
+    forks its workers with SIGTERM blocked, so a drain request that
+    races the fork stays pending until here instead of being lost."""
+    signal.signal(signal.SIGTERM, _on_sigterm)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
+    with open(path) as fh:
+        spec = json.load(fh)
+    return run_spec(spec)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--spec", required=True, help="path to the run-spec JSON")
     args = parser.parse_args(argv)
-    signal.signal(signal.SIGTERM, _on_sigterm)
-    with open(args.spec) as fh:
-        spec = json.load(fh)
-    return run_spec(spec)
+    return run_spec_file(args.spec)
 
 
 if __name__ == "__main__":

@@ -599,6 +599,84 @@ class TestForkSafety:
         assert rule_ids(result) == ["FORK-SAFETY"]
         assert "holding" in result.new_findings[0].message
 
+    def test_fork_child_that_can_return_or_skip_setsid(self, tmp_path):
+        result = lint_many(
+            tmp_path,
+            {
+                "src/repro/supervisor/pool.py": """
+                import os
+
+                from repro.supervisor import worker
+
+
+                def serve(path):
+                    pid = os.fork()
+                    if pid == 0:
+                        worker.run_spec_file(path)
+                        os.setsid()
+                    return pid
+
+
+                def spawn(path):
+                    pid = os.fork()
+                    if not pid:
+                        code = 1
+                        try:
+                            code = worker.run_spec_file(path)
+                        finally:
+                            os._exit(code)
+                    return pid
+
+
+                def blind():
+                    return os.fork()
+                """
+            },
+            only=["FORK-SAFETY"],
+        )
+        messages = sorted(f.message for f in result.new_findings)
+        assert rule_ids(result) == ["FORK-SAFETY"] * 4
+        assert sum("before os.setsid()" in m for m in messages) == 2
+        assert sum("second copy" in m for m in messages) == 1
+        assert sum("recognizable child branch" in m for m in messages) == 1
+
+    def test_fork_child_that_always_exits_is_clean(self, tmp_path):
+        result = lint_many(
+            tmp_path,
+            {
+                "src/repro/supervisor/pool.py": """
+                import os
+
+                from repro.supervisor import worker
+
+
+                def serve(loop):
+                    pid = os.fork()
+                    if pid == 0:
+                        try:
+                            loop()
+                        finally:
+                            os._exit(0)
+                    return pid
+
+
+                def spawn(path):
+                    pid = os.fork()
+                    if pid != 0:
+                        return pid
+                    else:
+                        code = 1
+                        try:
+                            os.setsid()
+                            code = worker.run_spec_file(path)
+                        finally:
+                            os._exit(code)
+                """
+            },
+            only=["FORK-SAFETY"],
+        )
+        assert result.new_findings == []
+
 
 class TestSignalSafety:
     def test_logging_handler_is_flagged_transitively(self, tmp_path):

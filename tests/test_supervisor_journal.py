@@ -423,6 +423,22 @@ class TestResultCacheEviction:
         )
 
 
+def _children(pid: int) -> list[int]:
+    """Live child pids of ``pid``, from ``/proc``."""
+    kids = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                state, ppid = fh.read().rsplit(")", 1)[1].split()[:2]
+        except OSError:
+            continue
+        if int(ppid) == pid and state != "Z":
+            kids.append(int(entry))
+    return kids
+
+
 class TestDaemonCrashSafety:
     """SIGKILL the daemon at the worst instants; restart must lose
     nothing and double-run nothing.
@@ -494,6 +510,7 @@ class TestDaemonCrashSafety:
         must reap it before relaunching the run."""
         import time as _time
 
+        from tests.test_supervisor_pool import _gone
         from tests.test_supervisor_service import _Daemon
 
         out = str(tmp_path / "svc")
@@ -515,8 +532,14 @@ class TestDaemonCrashSafety:
                     break
                 _time.sleep(0.02)
             assert pid is not None, "wedged run never launched"
+            [zygote] = _children(daemon.proc.pid)
             daemon.sigkill()
             os.kill(pid, 0)  # the worker outlived its daemon: orphaned
+            # The zygote saw EOF on its request pipe and left.
+            deadline = _time.monotonic() + 10
+            while not _gone(zygote):
+                assert _time.monotonic() < deadline, "zygote outlived its daemon"
+                _time.sleep(0.05)
         finally:
             daemon.stop()
 

@@ -1,8 +1,9 @@
-"""Worker pool: backoff, concurrency, liveness kills, migration, drain.
+"""Worker pool: backoff, concurrency, liveness kills, migration, drain,
+and the zygote the workers fork from.
 
 Backoff tests drive the pool on an injected fake clock/sleep pair — no
 real ``time.sleep`` anywhere in the scheduling path.  Liveness tests use
-real subprocess workers wedged by the deterministic ``stall_at_s`` /
+real worker processes wedged by the deterministic ``stall_at_s`` /
 ``spawner`` fixtures in :mod:`repro.supervisor.runs`.
 """
 
@@ -10,17 +11,34 @@ from __future__ import annotations
 
 import json
 import os
+import signal
+import subprocess
+import sys
 import threading
 import time
 
+import pytest
+
+from repro.checkpoint.snapshot import read_header
+from repro.checkpoint.surface import (
+    global_counter_state,
+    set_global_counter_state,
+)
 from repro.supervisor import (
     DONE,
     FAILED,
     PENDING,
+    RunContext,
     RunSpec,
+    ServiceCore,
     Supervisor,
     backoff_delay,
     default_worker_count,
+)
+from repro.supervisor.runs import hpl_run
+
+SRC = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"
 )
 
 #: Small, fast HPL point used throughout.
@@ -295,3 +313,192 @@ class TestDrain:
         launches = _journal_events(sup2, "launch")
         assert launches[-1]["resume_from"]  # continued from the checkpoint
         assert _result(sup2, "big")["state_digest"] == digest
+
+
+def _gone(pid: int) -> bool:
+    """The process has exited (a zombie awaiting its reaper counts)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except OSError:
+        return True
+
+
+def _wait_gone(pids, timeout_s: float = 10.0) -> list[int]:
+    """Poll until every pid has exited; returns the survivors."""
+    deadline = time.monotonic() + timeout_s
+    while time.monotonic() < deadline:
+        alive = [pid for pid in pids if not _gone(pid)]
+        if not alive:
+            return []
+        time.sleep(0.05)
+    return alive
+
+
+def _pipe_inodes(pid: int) -> set[str]:
+    inodes = set()
+    for fd in os.listdir(f"/proc/{pid}/fd"):
+        try:
+            target = os.readlink(f"/proc/{pid}/fd/{fd}")
+        except OSError:
+            continue
+        if target.startswith("pipe:"):
+            inodes.add(target)
+    return inodes
+
+
+def _core(path, **kwargs) -> ServiceCore:
+    kwargs.setdefault("backoff_s", 0.0)
+    kwargs.setdefault("checkpoint_every_s", 0.04)
+    kwargs.setdefault("log", lambda m: None)
+    core = ServiceCore(str(path), **kwargs)
+    core.open()
+    return core
+
+
+class TestZygote:
+    def test_close_reaps_the_zygote(self, tmp_path):
+        core = _core(tmp_path / "svc", workers=1)
+        zygote = core.pool._zygote.pid
+        try:
+            core.submit([RunSpec("r1", "hpl", dict(HPL_PARAMS))])
+            core.run_until_idle()
+            assert not _gone(zygote)
+        finally:
+            core.close()
+        assert _gone(zygote)
+        assert core.pool._zygote.exit_code == 0  # left on EOF, not killed
+
+    def test_one_shot_supervisor_reaps_its_zygote(self, tmp_path):
+        sup = Supervisor(str(tmp_path / "sweep"), workers=1, log=lambda m: None)
+        sup.run([RunSpec("r1", "hpl", dict(HPL_PARAMS))])
+        assert sup.core.pool._zygote.exit_code == 0
+        assert _gone(sup.core.pool._zygote.pid)
+
+    def test_zygote_death_mid_fleet_retries_and_converges(self, tmp_path):
+        """SIGKILL the zygote while two workers run: their groups are
+        killed, both attempts retry from checkpoint on a new zygote,
+        and every result is byte-identical to a calm fleet's."""
+        specs = [
+            RunSpec(f"job{i}", "hpl", dict(HPL_PARAMS, n=8000 + 500 * i))
+            for i in range(4)
+        ]
+        calm = Supervisor(
+            str(tmp_path / "calm"),
+            backoff_s=0.0,
+            checkpoint_every_s=0.04,
+            workers=2,
+            log=lambda m: None,
+        )
+        calm.run(specs)
+
+        core = _core(tmp_path / "chaos", workers=2)
+        killed = None
+        try:
+            core.submit(specs)
+            while core.step():
+                running = core.pool.in_flight
+                if killed is None and len(running) == 2 and all(
+                    os.path.exists(tmp_path / "chaos" / rid / "checkpoint.snap")
+                    for rid in running
+                ):
+                    killed = core.pool._zygote.pid
+                    victims = list(running.values())
+                    os.kill(killed, signal.SIGKILL)
+                time.sleep(0.01)
+            assert killed is not None, "the fleet finished before the kill"
+            assert core.pool._zygote.pid != killed
+        finally:
+            core.close()
+
+        assert {r.status for r in core.records.values()} == {DONE}
+        for spec in specs:
+            want = (tmp_path / "calm" / spec.run_id / "result.json").read_bytes()
+            got = (tmp_path / "chaos" / spec.run_id / "result.json").read_bytes()
+            assert got == want, spec.run_id
+        assert core.metrics.counters[("fleet.zygote_restart", None)] == 1.0
+        crashes = _journal_events(core, "exit")
+        assert len(crashes) == 2
+        assert {e["code"] for e in crashes} == {-signal.SIGKILL}
+        assert all(e["error"]["classification"] == "transient" for e in crashes)
+        relaunches = [
+            e for e in _journal_events(core, "launch") if e["resume_from"]
+        ]
+        assert len(relaunches) == 2  # both retried from their checkpoints
+        launched = [e["pid"] for e in _journal_events(core, "launch")]
+        assert set(victims) <= set(launched)
+        assert _wait_gone([killed, *launched]) == []
+
+    @pytest.mark.timeout(60)
+    def test_second_pool_zygote_holds_no_end_of_the_first_pools_pipes(
+        self, tmp_path
+    ):
+        """Otherwise the first zygote never sees EOF and its close()
+        blocks forever."""
+        first = _core(tmp_path / "a", workers=1)
+        second = _core(tmp_path / "b", workers=1)
+        try:
+            # A served job proves the second zygote is past its set-up.
+            second.submit([RunSpec("r1", "hpl", dict(HPL_PARAMS))])
+            second.run_until_idle()
+            assert second.records["r1"].status == DONE
+            theirs = _pipe_inodes(second.pool._zygote.pid)
+            ours = {
+                os.readlink(f"/proc/self/fd/{fd}")
+                for fd in (
+                    first.pool._zygote._requests,
+                    first.pool._zygote._replies,
+                )
+            }
+            assert not theirs & ours
+            first.close()
+            assert first.pool._zygote.exit_code == 0
+        finally:
+            first.close()
+            second.close()
+
+
+class TestStateIsolation:
+    def test_forked_worker_matches_a_fresh_interpreter(self, tmp_path):
+        """The law: a zygote child writes the result (state_digest
+        included) and checkpoint counters a fresh ``python -m
+        repro.supervisor.worker`` writes for the same spec — even when
+        the pool's process ran other work and advanced its module-level
+        counters before the pool was created."""
+        saved = global_counter_state()
+        hpl_run(
+            dict(HPL_PARAMS, n=1300, variant="intel"),
+            RunContext("unrelated", 1, str(tmp_path / "unrelated.snap")),
+        )
+        set_global_counter_state({"kernel.perf.next_event_id": 777})
+        try:
+            sup = Supervisor(
+                str(tmp_path / "pool"),
+                checkpoint_every_s=0.04,
+                workers=1,
+                log=lambda m: None,
+            )
+            sup.run([RunSpec("law", "hpl", dict(HPL_PARAMS))])
+        finally:
+            set_global_counter_state(saved)
+
+        forked = tmp_path / "pool" / "law"
+        fresh = tmp_path / "fresh"
+        fresh.mkdir()
+        spec = json.loads((forked / "spec.json").read_text())
+        spec["out_dir"] = str(fresh)
+        (fresh / "spec.json").write_text(json.dumps(spec))
+        env = dict(os.environ, PYTHONPATH=SRC)
+        subprocess.run(
+            [sys.executable, "-m", "repro.supervisor.worker",
+             "--spec", str(fresh / "spec.json")],
+            env=env,
+            check=True,
+        )
+        assert (forked / "result.json").read_bytes() == (
+            fresh / "result.json"
+        ).read_bytes()
+        assert (
+            read_header(str(forked / "checkpoint.snap"))["globals"]
+            == read_header(str(fresh / "checkpoint.snap"))["globals"]
+        )

@@ -53,6 +53,21 @@ SWEEP = os.path.join(
 )
 
 
+#: Cores opened by the running test; their pools are closed after it.
+_OPENED: list[ServiceCore] = []
+
+
+@pytest.fixture(autouse=True)
+def _close_pools():
+    """Reap every pool's zygote (and any worker left in flight), also
+    for tests that end without ``core.close()``."""
+    yield
+    while _OPENED:
+        core = _OPENED.pop()
+        if core.pool is not None:
+            core.pool.close()
+
+
 def _core(tmp_path, **kwargs) -> ServiceCore:
     kwargs.setdefault("workers", 2)
     kwargs.setdefault("backoff_s", 0.0)
@@ -60,6 +75,7 @@ def _core(tmp_path, **kwargs) -> ServiceCore:
     kwargs.setdefault("log", lambda m: None)
     core = ServiceCore(str(tmp_path / "svc"), **kwargs)
     core.open(resume=kwargs.get("resume", False))
+    _OPENED.append(core)
     return core
 
 
@@ -550,6 +566,7 @@ class TestAdmissionScale:
             log=lambda m: None,
         )
         core.open()
+        _OPENED.append(core)
         specs = [
             RunSpec(f"r{i:05d}", "hpl", dict(HPL_PARAMS, n=1000 + i))
             for i in range(n)
