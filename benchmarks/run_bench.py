@@ -191,7 +191,7 @@ def fleet_bench(baseline_path: Path, rounds: int, warmup: int) -> int:
     """Fleet throughput: jobs/s of a 16-job sweep at pool sizes 1/2/4.
 
     Each round runs the 16-job ``fleet``-preset sweep through the real
-    :class:`~repro.supervisor.Supervisor` (forked workers, journal,
+    :meth:`~repro.supervisor.ServiceCore.run` (forked workers, journal,
     heartbeats — the full service path) into a throwaway directory, and
     times the whole sweep.  Results are merged into the ``fleet``
     section of ``BENCH_simulator.json`` without touching the engine
@@ -201,7 +201,7 @@ def fleet_bench(baseline_path: Path, rounds: int, warmup: int) -> int:
     import shutil
     import tempfile
 
-    from repro.supervisor import RunSpec, Supervisor
+    from repro.supervisor import RunSpec, ServiceCore
 
     jobs = [
         RunSpec(
@@ -219,7 +219,7 @@ def fleet_bench(baseline_path: Path, rounds: int, warmup: int) -> int:
     def one_sweep(workers: int) -> float:
         counter[0] += 1
         out = Path(scratch) / f"sweep-{counter[0]}"
-        sup = Supervisor(
+        core = ServiceCore(
             str(out),
             backoff_s=0.0,
             checkpoint_every_s=0.04,
@@ -227,9 +227,9 @@ def fleet_bench(baseline_path: Path, rounds: int, warmup: int) -> int:
             log=lambda m: None,
         )
         t0 = time.perf_counter()
-        manifest = sup.run(list(jobs))
+        runs = core.run(list(jobs))
         elapsed = time.perf_counter() - t0
-        assert all(rec.status == "done" for rec in manifest.runs.values())
+        assert all(rec.status == "done" for rec in runs.values())
         shutil.rmtree(out, ignore_errors=True)
         return elapsed
 

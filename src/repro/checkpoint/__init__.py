@@ -11,6 +11,8 @@ are the user-facing entry points; this package provides the machinery:
   declarations (state vs. rebuildable cache) and global counters;
 * :mod:`repro.checkpoint.snapshot` — the versioned, digest-stamped,
   atomically-written file envelope;
+* :mod:`repro.checkpoint.durable` — the atomic, durable file write that
+  snapshots and every supervisor file go through;
 * :mod:`repro.checkpoint.digest` — canonical deep hashing
   (``state_digest``) used by parity/identity tests and resume checks.
 """

@@ -12,8 +12,8 @@ inspect a snapshot (``python -m repro.checkpoint describe x.ckpt``)
 without unpickling anything.  The payload SHA-256 in the header is
 verified on load — a truncated or bit-rotted snapshot fails loudly with
 :class:`SnapshotIntegrityError` instead of resurrecting a corrupt
-machine.  Writes are atomic (temp file + ``os.replace``) so a crash
-mid-checkpoint can never destroy the previous checkpoint.
+machine.  Writes go through :func:`repro.checkpoint.durable.atomic_replace`,
+so a crash mid-checkpoint can never destroy the previous checkpoint.
 
 Compatibility boundary: snapshots embed marshalled code objects for
 workload closures, so they are tied to the CPython feature version that
@@ -27,12 +27,12 @@ import hashlib
 import json
 import os
 import sys
-import tempfile
 import zlib
 from typing import Any, Optional
 
 from repro.checkpoint import pickler
 from repro.checkpoint.digest import DIGEST_ALGO
+from repro.checkpoint.durable import atomic_replace
 from repro.checkpoint.surface import GLOBAL_COUNTERS
 
 MAGIC = b"REPRO-SNAPSHOT\n"
@@ -58,7 +58,7 @@ def _python_tag() -> str:
 def save_object(obj: Any, path: str, meta: Optional[dict] = None) -> dict:
     """Serialize ``obj`` (and registered global counters) to ``path``.
 
-    Returns the written header dict.  The write is atomic.
+    Returns the written header dict.  The write is atomic and durable.
     """
     payload = zlib.compress(pickler.dumps(obj), level=6)
     header = {
@@ -70,23 +70,9 @@ def save_object(obj: Any, path: str, meta: Optional[dict] = None) -> dict:
         "globals": {name: get() for name, (get, _set) in GLOBAL_COUNTERS.items()},
         "meta": meta or {},
     }
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ckpt-", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-            fh.write(payload)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    header_line = json.dumps(header, sort_keys=True).encode() + b"\n"
+    atomic_replace(path, MAGIC + header_line + payload)
     return header
 
 

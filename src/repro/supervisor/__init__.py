@@ -1,12 +1,14 @@
 """The fault-tolerant measurement service.
 
-See :mod:`repro.supervisor.supervisor` for the service front door,
+See :mod:`repro.supervisor.service` for the service core (one-shot
+:meth:`~repro.supervisor.service.ServiceCore.run` and the daemon),
 :mod:`repro.supervisor.pool` for the concurrent worker pool (liveness,
 migration, drain), :mod:`repro.supervisor.journal` for the crash-safe
 append-only journal, :mod:`repro.supervisor.cache` for the deterministic
 result cache, :mod:`repro.supervisor.worker` for the per-run worker process
-entry, and :mod:`repro.supervisor.manifest` for the materialized sweep
-view.
+entry, and :mod:`repro.supervisor.records` for the per-run record, its
+states and the worker exit codes.  Every file the service writes goes
+through :mod:`repro.checkpoint.durable`.
 """
 
 from repro.supervisor.cache import ResultCache, code_version, spec_digest
@@ -20,20 +22,7 @@ from repro.supervisor.heartbeat import (
     read_heartbeat,
     write_heartbeat,
 )
-from repro.supervisor.journal import Journal, JournalError, JournalState
-from repro.supervisor.manifest import (
-    CANCELLED,
-    DONE,
-    EXIT_PERMANENT,
-    EXIT_PREEMPTED,
-    EXIT_TRANSIENT,
-    FAILED,
-    PENDING,
-    RUNNING,
-    TERMINAL,
-    Manifest,
-    RunRecord,
-)
+from repro.supervisor.journal import Journal, JournalError, JournalState, StorageError
 from repro.supervisor.pool import WorkerPool, backoff_delay, default_worker_count
 from repro.supervisor.queue import (
     ADMITTED,
@@ -44,13 +33,24 @@ from repro.supervisor.queue import (
     AdmissionQueue,
     RunSpec,
 )
+from repro.supervisor.records import (
+    CANCELLED,
+    DONE,
+    EXIT_PERMANENT,
+    EXIT_PREEMPTED,
+    EXIT_TRANSIENT,
+    FAILED,
+    PENDING,
+    RUNNING,
+    TERMINAL,
+    RunRecord,
+)
 from repro.supervisor.runs import RUN_KINDS, Preempted, RunContext
 from repro.supervisor.service import (
     MeasurementService,
     ServiceCore,
     socket_path_for,
 )
-from repro.supervisor.supervisor import Supervisor
 
 __all__ = [
     "DONE",
@@ -69,12 +69,10 @@ __all__ = [
     "REQUEUED",
     "REJECTED",
     "AdmissionQueue",
-    "Manifest",
     "RunRecord",
     "RUN_KINDS",
     "RunContext",
     "RunSpec",
-    "Supervisor",
     "ServiceCore",
     "MeasurementService",
     "ServiceClient",
@@ -84,6 +82,7 @@ __all__ = [
     "Journal",
     "JournalError",
     "JournalState",
+    "StorageError",
     "Preempted",
     "ResultCache",
     "backoff_delay",

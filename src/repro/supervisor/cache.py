@@ -33,7 +33,7 @@ import json
 import os
 from typing import Callable, Optional
 
-from repro.supervisor.manifest import atomic_write_json
+from repro.checkpoint.durable import atomic_write_json
 
 _CODE_VERSION: Optional[str] = None
 

@@ -24,8 +24,9 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from typing import Optional
+
+from repro.checkpoint.durable import atomic_replace
 
 #: Liveness verdicts recorded in the journal and metrics.
 LIVE = "live"
@@ -44,20 +45,8 @@ def write_heartbeat(
     path: str, pid: int, attempt: int, sim_time_s: Optional[float]
 ) -> None:
     """Atomically replace the heartbeat file (no fsync — advisory)."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".hb-", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(
-                {"pid": pid, "attempt": attempt, "sim_time_s": sim_time_s}, fh
-            )
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    payload = {"pid": pid, "attempt": attempt, "sim_time_s": sim_time_s}
+    atomic_replace(path, json.dumps(payload).encode(), sync=False)
 
 
 def read_heartbeat(path: str) -> Optional[dict]:

@@ -1,14 +1,9 @@
 """Append-only journal: the fleet's crash-safe source of truth.
 
-The PR 3 supervisor rewrote ``manifest.json`` in place on every
-transition; atomic replace made each write safe, but the *history* was
-gone — a resumed sweep could only see the last snapshot.  The journal
-supersedes it: every job transition is one JSON line appended to
-``journal.jsonl`` and fsync'd before the supervisor acts on it, so a
-SIGKILL at any instant loses at most a torn final line.  Replaying the
-journal reconstructs the exact pending/in-flight/done sets; the old
-manifest survives only as a human-readable materialized view written at
-checkpoints and at exit.
+Every job transition is one JSON line appended to ``journal.jsonl`` and
+fsync'd before the supervisor acts on it, so a SIGKILL at any instant
+loses at most a torn final line.  Replaying the journal reconstructs
+the exact pending/in-flight/done sets; nothing else records run state.
 
 Two extensions serve the long-running measurement service:
 
@@ -20,8 +15,9 @@ Two extensions serve the long-running measurement service:
   (an unacknowledged one may be lost — the client resubmits, and
   admission is idempotent).
 * **compaction** — :meth:`Journal.compact` atomically rewrites the file
-  from the materialized per-run state (full-fidelity ``add`` events),
-  keeping the old journal as ``.bak``; a daemon that has processed
+  from the materialized per-run state (full-fidelity ``add`` events)
+  through :func:`repro.checkpoint.durable.atomic_replace`, keeping the
+  old journal as ``.bak``; a daemon that has processed
   millions of transitions boots from a journal proportional to the
   number of *runs*, not the number of *events*.
 
@@ -34,6 +30,12 @@ Recovery rules (exercised by ``tests/test_supervisor_journal.py``):
 * a header version this code does not speak → :class:`JournalError`;
 * an event naming a run that was never added → :class:`JournalError`
   (never a silent skip).
+
+A failed append (ENOSPC, EIO) raises :class:`StorageError` and leaves
+the journal *failed*: what reached the disk is unknown, and a later
+fsync may report success for pages the failed one lost (PostgreSQL
+"fsyncgate"), so every later append raises without touching the file.
+The next boot replays what is durable.
 """
 
 from __future__ import annotations
@@ -43,7 +45,8 @@ import os
 from dataclasses import dataclass, field
 from typing import IO, Callable, Iterable, Optional
 
-from repro.supervisor.manifest import (
+from repro.checkpoint.durable import atomic_replace
+from repro.supervisor.records import (
     CANCELLED,
     DONE,
     FAILED,
@@ -77,12 +80,17 @@ class JournalError(RuntimeError):
     or events referencing runs that were never added."""
 
 
+class StorageError(JournalError):
+    """A journal append failed on the host (ENOSPC, EIO, ...); the
+    journal refuses every later append."""
+
+
 def add_event(record: RunRecord, full: bool = False) -> dict:
     """The ``add`` event (re)introducing ``record`` into a journal.
 
-    With ``full=False`` only non-default state is embedded (the shape
-    the live supervisor writes for fresh submissions).  ``full=True``
-    embeds the whole materialized record — what compaction writes, so a
+    With ``full=False`` only the spec is embedded (the shape the live
+    supervisor writes for fresh submissions).  ``full=True`` embeds the
+    whole :meth:`RunRecord.to_json` — what compaction writes, so a
     replay of the compacted journal reconstructs attempts, errors,
     migrations and pids, not just statuses.
     """
@@ -92,27 +100,13 @@ def add_event(record: RunRecord, full: bool = False) -> dict:
         "kind": record.kind,
         "params": record.params,
     }
-    if full or record.status != PENDING or record.attempts:
-        event.update(
-            {
-                "status": record.status,
-                "attempts": record.attempts,
-                "result_path": record.result_path,
-                "checkpoint_path": record.checkpoint_path,
-                "cached": record.cached,
-            }
-        )
     if full:
-        event.update(
-            {
-                "last_error": record.last_error,
-                "stuck": record.stuck,
-                "migrations": record.migrations,
-                "last_slot": record.last_slot,
-                "last_pid": record.last_pid,
-            }
-        )
+        event.update(record.to_json())
     return event
+
+
+def _line(event: dict) -> str:
+    return json.dumps(event, sort_keys=True) + "\n"
 
 
 @dataclass
@@ -141,6 +135,8 @@ class Journal:
         #: Called with each event *after* it is durably on disk — the
         #: service's live-stream tee.  Observers must not raise.
         self.observers: list[Callable[[dict], None]] = []
+        #: The append failure that poisoned this journal, if any.
+        self.failure: Optional[StorageError] = None
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -162,8 +158,12 @@ class Journal:
 
     def close(self) -> None:
         if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+            fh, self._fh = self._fh, None
+            try:
+                fh.close()
+            except OSError:
+                if self.failure is None:
+                    raise
 
     @property
     def size_bytes(self) -> int:
@@ -190,16 +190,22 @@ class Journal:
         buffered ``write``; the fsync happens once for the whole batch.
         Returns the number of events written.
         """
+        if self.failure is not None:
+            raise self.failure
         if self._fh is None:
             raise JournalError(f"journal {self.path} is not open")
         written = []
-        for event in events:
-            self._fh.write(json.dumps(event, sort_keys=True) + "\n")
-            written.append(event)
-        if not written:
-            return 0
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
+        try:
+            for event in events:
+                self._fh.write(_line(event))
+                written.append(event)
+            if not written:
+                return 0
+            self._fh.flush()
+            os.fsync(self._fh.fileno())
+        except OSError as exc:
+            self.failure = StorageError(f"storage: journal {self.path}: {exc}")
+            raise self.failure from exc
         for observer in self.observers:
             for event in written:
                 observer(event)
@@ -215,41 +221,36 @@ class Journal:
         run (deterministic order: sorted run id).  Crash-safe sequence:
 
         1. replay the current journal (refuses corrupt input);
-        2. write ``<path>.tmp`` — header + adds — and fsync it;
-        3. hardlink the current journal to ``<path>.bak`` (the old file
-           stays reachable at *both* names);
-        4. atomically rename the tmp over the journal and fsync the
-           directory, at which point the ``.bak`` is the only copy of
-           the old history.
+        2. hardlink it to ``<path>.bak`` (the old file stays reachable
+           at *both* names);
+        3. :func:`~repro.checkpoint.durable.atomic_replace` the journal
+           with header + adds, at which point the ``.bak`` is the only
+           copy of the old history.
 
         A SIGKILL anywhere leaves either the old journal at ``path``
-        (steps 1–3) or the compacted one (step 4 landed) — never
-        neither, never a mix.  The ``.bak`` from the most recent
+        (steps 1–2, or 3 before its rename) or the compacted one —
+        never neither, never a mix.  The ``.bak`` from the most recent
         compaction is kept for forensics.  Returns the replayed state
         the compacted journal encodes.
         """
         state = Journal.replay(path)
-        tmp = path + ".tmp"
-        writer = Journal(tmp)
-        writer.open_fresh(meta=meta if meta is not None else state.meta)
-        writer.append_many(
-            add_event(state.records[rid], full=True)
+        header = {
+            "type": "header",
+            "version": JOURNAL_VERSION,
+            "meta": meta if meta is not None else state.meta,
+        }
+        lines = [_line(header)]
+        lines.extend(
+            _line(add_event(state.records[rid], full=True))
             for rid in sorted(state.records)
         )
-        writer.close()
-
         bak = path + ".bak"
         try:
             os.unlink(bak)
         except OSError:
             pass
         os.link(path, bak)
-        os.replace(tmp, path)
-        dir_fd = os.open(os.path.dirname(os.path.abspath(path)) or ".", os.O_RDONLY)
-        try:
-            os.fsync(dir_fd)
-        finally:
-            os.close(dir_fd)
+        atomic_replace(path, "".join(lines).encode())
 
         compacted = JournalState(meta=state.meta, records=state.records)
         compacted.events = len(state.records)
@@ -331,21 +332,7 @@ class Journal:
                 raise JournalError(
                     f"journal {path} adds run {run_id!r} twice"
                 )
-            state.records[run_id] = RunRecord(
-                run_id=run_id,
-                kind=event["kind"],
-                params=event.get("params", {}),
-                status=event.get("status", PENDING),
-                attempts=int(event.get("attempts", 0)),
-                result_path=event.get("result_path"),
-                checkpoint_path=event.get("checkpoint_path"),
-                cached=bool(event.get("cached", False)),
-                last_error=event.get("last_error"),
-                stuck=event.get("stuck", []),
-                migrations=int(event.get("migrations", 0)),
-                last_slot=event.get("last_slot"),
-                last_pid=event.get("last_pid"),
-            )
+            state.records[run_id] = RunRecord.from_json(event)
             return
 
         record = state.records.get(run_id)

@@ -1,7 +1,7 @@
 """The concurrent worker pool: N forked workers, liveness, migration.
 
-This is the fleet engine under :class:`~repro.supervisor.supervisor.
-Supervisor`.  It admits pending runs into up to ``workers`` slots.  Each
+This is the fleet engine under :class:`~repro.supervisor.service.
+ServiceCore`.  It admits pending runs into up to ``workers`` slots.  Each
 attempt runs in a process of its own, forked from the pool's **zygote**,
 and that process leads its **own session** (so a kill always takes the
 whole process group — no zombie children surviving a timeout).  The
@@ -43,7 +43,7 @@ so no unit test ever calls ``time.sleep`` for real.
 
 On ``request_drain()`` (wired to SIGTERM by ``tools/sweep.py``) the pool
 stops admitting, SIGTERMs in-flight workers — they checkpoint and exit
-:data:`~repro.supervisor.manifest.EXIT_PREEMPTED` — and returns with the
+:data:`~repro.supervisor.records.EXIT_PREEMPTED` — and returns with the
 remaining runs still pending in the journal, ready for ``--resume``.
 """
 
@@ -63,6 +63,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+from repro.checkpoint.durable import atomic_write_json
 from repro.checkpoint.surface import IMPORT_COUNTER_STATE, set_global_counter_state
 from repro.supervisor import worker
 from repro.supervisor.heartbeat import (
@@ -72,7 +73,7 @@ from repro.supervisor.heartbeat import (
     read_heartbeat,
 )
 from repro.supervisor.journal import Journal
-from repro.supervisor.manifest import (
+from repro.supervisor.records import (
     CANCELLED,
     DONE,
     EXIT_PERMANENT,
@@ -81,7 +82,6 @@ from repro.supervisor.manifest import (
     PENDING,
     RUNNING,
     RunRecord,
-    atomic_write_json,
 )
 from repro.trace.tracer import MetricsRegistry
 

@@ -34,15 +34,15 @@ import os
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from repro.checkpoint.durable import atomic_write_json
 from repro.supervisor.cache import ResultCache, spec_digest
 from repro.supervisor.journal import Journal, add_event
-from repro.supervisor.manifest import (
+from repro.supervisor.records import (
     CANCELLED,
     DONE,
     FAILED,
     PENDING,
     RunRecord,
-    atomic_write_json,
 )
 from repro.trace.tracer import MetricsRegistry
 
@@ -52,6 +52,27 @@ CACHED = "cached"            #: new job, served from the result cache
 DUPLICATE = "duplicate"      #: spec already known (done / running / queued)
 REQUEUED = "requeued"        #: failed/cancelled spec resubmitted, fresh budget
 REJECTED = "rejected"        #: backpressure or id conflict — NOT admitted
+
+
+def cached_done(out_dir: str, record: RunRecord, hit: dict) -> dict:
+    """Serve ``record`` from the result-cache payload ``hit``: write its
+    ``result.json``, mark it done, and return the ``done`` event the
+    caller must journal."""
+    run_dir = os.path.join(out_dir, record.run_id)
+    os.makedirs(run_dir, exist_ok=True)
+    result_path = os.path.join(run_dir, "result.json")
+    atomic_write_json(result_path, hit)
+    record.status = DONE
+    record.result_path = result_path
+    record.cached = True
+    record.last_error = None
+    return {
+        "type": "done",
+        "run_id": record.run_id,
+        "attempt": record.attempts,
+        "result_path": result_path,
+        "cached": True,
+    }
 
 
 @dataclass
@@ -227,16 +248,7 @@ class AdmissionQueue:
 
             hit = self.cache.get(spec.kind, spec.params) if self.cache else None
             if hit is not None:
-                result_path = self._write_cached_result(record, hit)
-                events.append(
-                    {
-                        "type": "done",
-                        "run_id": run_id,
-                        "attempt": 0,
-                        "result_path": result_path,
-                        "cached": True,
-                    }
-                )
+                events.append(cached_done(self.out_dir, record, hit))
                 verdicts.append(Admission(run_id, CACHED, DONE))
                 self.metrics.counter("fleet.cache_hit")
             else:
@@ -251,14 +263,3 @@ class AdmissionQueue:
         self.metrics.counter("fleet.admission_batch")
         self.metrics.observe("fleet.admission_batch_size", value=float(len(specs)))
         return verdicts, to_enqueue
-
-    def _write_cached_result(self, record: RunRecord, hit: dict) -> str:
-        run_dir = os.path.join(self.out_dir, record.run_id)
-        os.makedirs(run_dir, exist_ok=True)
-        result_path = os.path.join(run_dir, "result.json")
-        atomic_write_json(result_path, hit)
-        record.status = DONE
-        record.result_path = result_path
-        record.cached = True
-        record.last_error = None
-        return result_path

@@ -2,7 +2,7 @@
 
 A *run kind* is a function ``kind(params, ctx) -> dict``:
 
-* ``params`` — the JSON-safe parameter dict from the sweep manifest;
+* ``params`` — the JSON-safe parameter dict of the run spec;
 * ``ctx`` — a :class:`RunContext` giving it attempt number, a restored
   checkpoint payload (when resuming), and periodic checkpointing;
 * the return value is the run's JSON-safe result, written to

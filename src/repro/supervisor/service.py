@@ -6,10 +6,10 @@ Two layers:
     The socket-free heart of the measurement service: journal +
     :class:`~repro.supervisor.queue.AdmissionQueue` + step-driven
     :class:`~repro.supervisor.pool.WorkerPool` + result cache +
-    metrics.  *Both* entry points are thin clients of this core — the
-    one-shot ``Supervisor.run()`` opens it, admits one batch and steps
-    until idle; the daemon keeps it open and interleaves admission,
-    stepping and queries indefinitely.
+    metrics.  Both entry points drive this one core — the one-shot
+    :meth:`ServiceCore.run` opens it, admits one batch and steps until
+    idle; the daemon keeps it open and interleaves admission, stepping
+    and queries indefinitely.
 
 :class:`MeasurementService`
     The daemon: a single-threaded ``selectors`` loop serving a JSON-
@@ -27,6 +27,12 @@ replay names a worker a dead daemon left behind) before requeuing
 their runs.  SIGKILLing the daemon at any instant therefore loses
 nothing and double-runs nothing: acked jobs replay, unacked jobs are
 resubmitted idempotently.
+
+A failed journal append (ENOSPC, EIO) is a refusal, not a crash: the
+request that hit it gets a correlated ``{ok: false, error: "storage:
+..."}`` reply and the daemon stops without draining (a drain needs the
+journal).  The next boot reaps and requeues the in-flight workers, as
+after a SIGKILL.
 
 Boot also compacts an oversized journal (``compact_threshold_bytes``)
 so a long-lived daemon's recovery time is proportional to the number
@@ -65,21 +71,20 @@ import socket
 import time
 from typing import Callable, Optional
 
+from repro.checkpoint.durable import atomic_write_json
 from repro.supervisor.cache import ResultCache
-from repro.supervisor.journal import Journal, add_event
-from repro.supervisor.manifest import (
+from repro.supervisor.journal import Journal, StorageError
+from repro.supervisor.pool import WorkerPool, default_worker_count
+from repro.supervisor.queue import AdmissionQueue, RunSpec, cached_done
+from repro.supervisor.records import (
     CANCELLED,
     DONE,
     FAILED,
     PENDING,
     RUNNING,
     TERMINAL,
-    Manifest,
     RunRecord,
-    atomic_write_json,
 )
-from repro.supervisor.pool import WorkerPool, default_worker_count
-from repro.supervisor.queue import AdmissionQueue, RunSpec
 from repro.trace.tracer import MetricsRegistry
 
 #: Test-only chaos hook: when this env var is set, the core SIGKILLs
@@ -136,7 +141,6 @@ class ServiceCore:
         self.compact_threshold_bytes = compact_threshold_bytes
         self.clock = clock
         self.sleep = sleep
-        self.manifest_path = os.path.join(out_dir, "manifest.json")
         self.journal_path = os.path.join(out_dir, "journal.jsonl")
         self.metrics_path = os.path.join(out_dir, "metrics.json")
         self.metrics = metrics if metrics is not None else MetricsRegistry()
@@ -254,13 +258,8 @@ class ServiceCore:
         ]
         self._dispatch(recovered)
 
-        # Materialize the view once recovery settled.
-        self.manifest = Manifest(self.manifest_path, meta=self._meta())
-        self.manifest.runs = self.records
-        self.manifest.save()
-
     def _recover(self, resume: bool) -> dict[str, RunRecord]:
-        """Journal replay / legacy-manifest import / fresh start.
+        """Journal replay or fresh start.
         Leaves the journal open for appending."""
         if (
             resume
@@ -287,20 +286,6 @@ class ServiceCore:
                 truncate_to=state.valid_bytes if state.torn_tail else None
             )
             return state.records
-        if resume and os.path.exists(self.manifest_path):
-            # A pre-journal sweep directory: import the manifest into a
-            # fresh journal and carry on under the new regime.
-            manifest = Manifest.load(self.manifest_path)
-            records = manifest.runs
-            self.journal.open_fresh(meta=self._meta())
-            self.journal.append_many(
-                add_event(record, full=True) for record in records.values()
-            )
-            self.log(
-                f"[supervisor] imported legacy manifest "
-                f"({len(records)} run(s)) into {self.journal_path}"
-            )
-            return records
         if resume:
             self.log(
                 f"[supervisor] no journal at {self.journal_path}; "
@@ -367,23 +352,7 @@ class ServiceCore:
         hit = self.cache.get(record.kind, record.params)
         if hit is None:
             return False
-        run_dir = os.path.join(self.out_dir, record.run_id)
-        os.makedirs(run_dir, exist_ok=True)
-        result_path = os.path.join(run_dir, "result.json")
-        atomic_write_json(result_path, hit)
-        record.status = DONE
-        record.result_path = result_path
-        record.cached = True
-        record.last_error = None
-        self.journal.append(
-            {
-                "type": "done",
-                "run_id": record.run_id,
-                "attempt": record.attempts,
-                "result_path": result_path,
-                "cached": True,
-            }
-        )
+        self.journal.append(cached_done(self.out_dir, record, hit))
         self.metrics.counter("fleet.cache_hit")
         self.log(f"[supervisor] {record.run_id}: served from result cache")
         return True
@@ -477,14 +446,18 @@ class ServiceCore:
         while self.step():
             self.sleep(self.poll_interval_s)
 
-    def status(self) -> dict:
+    def counts(self) -> dict[str, int]:
+        """Number of runs per status."""
         counts: dict[str, int] = {}
         for record in self.records.values():
             counts[record.status] = counts.get(record.status, 0) + 1
+        return counts
+
+    def status(self) -> dict:
         return {
             "out_dir": self.out_dir,
             "runs": len(self.records),
-            "counts": counts,
+            "counts": self.counts(),
             "queue_depth": self.pool.queue_depth if self.pool else 0,
             "in_flight": self.pool.in_flight if self.pool else {},
             "draining": self.drained,
@@ -494,25 +467,39 @@ class ServiceCore:
 
     # -- shutdown ------------------------------------------------------------
 
-    def close(self) -> Manifest:
+    def close(self) -> None:
         """Reap the pool's zygote, seal the journal (metrics +
-        drain/complete), materialize the manifest view and metrics
-        snapshot.  Idempotent."""
+        drain/complete) and write the metrics snapshot.  Idempotent.
+        After a :class:`StorageError` nothing is written: the next boot
+        recovers from what the journal made durable."""
         if self._closed:
-            return self.manifest
+            return
         self._closed = True
         if self.pool is not None:
             self.pool.close()
+        if self.journal.failure is not None:
+            self.journal.close()
+            return
         snapshot = self.metrics.as_dict()
-        summary = self.manifest.summary()
         self.journal.append({"type": "metrics", "metrics": snapshot})
         self.journal.append(
-            {"type": "drain" if self.drained else "complete", "summary": summary}
+            {"type": "drain" if self.drained else "complete", "summary": self.counts()}
         )
         self.journal.close()
-        self.manifest.save()
         atomic_write_json(self.metrics_path, snapshot)
-        return self.manifest
+
+    def run(self, runs: list[RunSpec], resume: bool = False) -> dict[str, RunRecord]:
+        """One-shot sweep: open, admit ``runs``, step until idle (or
+        drained), close; returns the runs by id."""
+        self.open(resume=resume)
+        try:
+            self.submit(runs)
+            self.run_until_idle()
+        finally:
+            self.close()
+        verb = "drained" if self.drained else "complete"
+        self.log(f"[supervisor] sweep {verb}: {self.counts()}")
+        return self.records
 
 
 class _Client:
@@ -743,7 +730,13 @@ class MeasurementService:
                     client, {}, {"ok": False, "error": "malformed JSON line"}
                 )
                 continue
-            self._handle_request(client, request)
+            try:
+                self._handle_request(client, request)
+            except StorageError as exc:
+                # Refuse the request that hit the failure, then stop
+                # serving: the journal can record nothing more.
+                self._reply(client, request, {"ok": False, "error": str(exc)})
+                raise
 
     # -- the daemon loop -----------------------------------------------------
 

@@ -42,15 +42,11 @@ import signal
 import sys
 import traceback
 
+from repro.checkpoint.durable import atomic_write_json
 from repro.checkpoint.snapshot import SnapshotError, load_object
 from repro.sim.engine import SimTimeout
 from repro.supervisor.heartbeat import heartbeat_path, write_heartbeat
-from repro.supervisor.manifest import (
-    EXIT_PERMANENT,
-    EXIT_PREEMPTED,
-    EXIT_TRANSIENT,
-    atomic_write_json,
-)
+from repro.supervisor.records import EXIT_PERMANENT, EXIT_PREEMPTED, EXIT_TRANSIENT
 from repro.supervisor.runs import RUN_KINDS, Preempted, RunContext
 
 #: Set by the SIGTERM handler installed in :func:`main`; run kinds poll

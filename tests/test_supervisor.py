@@ -1,4 +1,4 @@
-"""Supervisor: crash isolation, retry classification, and resume.
+"""One-shot sweeps: crash isolation, retry classification, and resume.
 
 The acceptance bar: SIGKILLing a sweep (supervisor or worker, any
 moment) and resuming must produce results bit-identical to a sweep that
@@ -11,17 +11,13 @@ from __future__ import annotations
 import json
 import os
 
-import pytest
-
 from repro.supervisor import (
     DONE,
     EXIT_PERMANENT,
     EXIT_TRANSIENT,
     FAILED,
-    Manifest,
-    RunRecord,
     RunSpec,
-    Supervisor,
+    ServiceCore,
 )
 from repro.supervisor.worker import run_spec
 
@@ -35,47 +31,12 @@ def _supervisor(tmp_path, **kw):
     kw.setdefault("wall_timeout_s", 120.0)
     kw.setdefault("checkpoint_every_s", 0.04)
     kw.setdefault("log", lambda msg: None)
-    return Supervisor(str(tmp_path / "sweep"), **kw)
+    return ServiceCore(str(tmp_path / "sweep"), **kw)
 
 
 def _result(sup, run_id):
     with open(os.path.join(sup.out_dir, run_id, "result.json")) as fh:
         return json.load(fh)
-
-
-class TestManifest:
-    def test_round_trip(self, tmp_path):
-        path = str(tmp_path / "manifest.json")
-        m = Manifest(path, meta={"k": 1})
-        m.add_run(RunRecord(run_id="a", kind="hpl", params={"n": 4}))
-        m.runs["a"].status = DONE
-        m.runs["a"].stuck = [{"name": "t", "cpu": 3, "core_type": "E-core"}]
-        m.save()
-        back = Manifest.load(path)
-        assert back.meta == {"k": 1}
-        assert back.runs["a"].to_json() == m.runs["a"].to_json()
-
-    def test_version_gate(self, tmp_path):
-        path = str(tmp_path / "manifest.json")
-        Manifest(path).save()
-        data = json.load(open(path))
-        data["version"] = 999
-        json.dump(data, open(path, "w"))
-        with pytest.raises(ValueError):
-            Manifest.load(path)
-
-    def test_duplicate_run_id_rejected(self, tmp_path):
-        m = Manifest(str(tmp_path / "m.json"))
-        m.add_run(RunRecord(run_id="a", kind="hpl", params={}))
-        with pytest.raises(ValueError):
-            m.add_run(RunRecord(run_id="a", kind="hpl", params={}))
-
-    def test_interrupted_running_run_is_pending_again(self, tmp_path):
-        m = Manifest(str(tmp_path / "m.json"))
-        m.add_run(RunRecord(run_id="a", kind="hpl", params={}, status=DONE))
-        m.add_run(RunRecord(run_id="b", kind="hpl", params={}, status="running"))
-        todo = [r.run_id for r in m.pending_runs()]
-        assert todo == ["b"]
 
 
 class TestWorkerExitCodes:
@@ -147,7 +108,7 @@ class TestSupervisorSweeps:
         """A worker SIGKILLed mid-run retries from its checkpoint and
         ends bit-identical to a run that never crashed."""
         sup = _supervisor(tmp_path)
-        manifest = sup.run(
+        runs = sup.run(
             [
                 RunSpec("steady", "hpl", dict(HPL_PARAMS)),
                 RunSpec(
@@ -157,9 +118,9 @@ class TestSupervisorSweeps:
                 ),
             ]
         )
-        assert manifest.runs["steady"].status == DONE
-        assert manifest.runs["steady"].attempts == 1
-        flaky = manifest.runs["flaky"]
+        assert runs["steady"].status == DONE
+        assert runs["steady"].attempts == 1
+        flaky = runs["flaky"]
         assert flaky.status == DONE
         assert flaky.attempts == 2
         assert flaky.last_error is None
@@ -173,8 +134,8 @@ class TestSupervisorSweeps:
 
     def test_permanent_failure_stops_retrying(self, tmp_path):
         sup = _supervisor(tmp_path)
-        manifest = sup.run([RunSpec("bad", "failing", {"message": "nope"})])
-        rec = manifest.runs["bad"]
+        runs = sup.run([RunSpec("bad", "failing", {"message": "nope"})])
+        rec = runs["bad"]
         assert rec.status == FAILED
         assert rec.attempts == 1  # no retries burned on a deterministic error
         assert rec.last_error["classification"] == "permanent"
@@ -184,7 +145,7 @@ class TestSupervisorSweeps:
         # slice boundary, so every retry replays through crash_at_s and
         # dies again instead of resuming past it.
         sup = _supervisor(tmp_path, max_attempts=2, checkpoint_every_s=10.0)
-        manifest = sup.run(
+        runs = sup.run(
             [
                 RunSpec(
                     "always-crashes",
@@ -193,7 +154,7 @@ class TestSupervisorSweeps:
                 )
             ]
         )
-        rec = manifest.runs["always-crashes"]
+        rec = runs["always-crashes"]
         assert rec.status == FAILED
         assert rec.attempts == 2
         assert rec.last_error["type"] == "WorkerCrash"
@@ -230,9 +191,9 @@ class TestSupervisorSweeps:
 
         events = []
         sup2 = _supervisor(tmp_path, log=events.append)
-        manifest2 = sup2.run(runs, resume=True)
-        assert manifest2.runs["one"].status == DONE
-        assert manifest2.runs["two"].status == DONE
+        runs2 = sup2.run(runs, resume=True)
+        assert runs2["one"].status == DONE
+        assert runs2["two"].status == DONE
         assert any("skipped" in e for e in events)
         assert any("resuming from" in e for e in events)
         # Restored continuation == the uninterrupted original.
@@ -240,8 +201,8 @@ class TestSupervisorSweeps:
 
     def test_wall_clock_timeout_kills_worker(self, tmp_path):
         sup = _supervisor(tmp_path, wall_timeout_s=0.2, max_attempts=1)
-        manifest = sup.run([RunSpec("slow", "hpl", dict(HPL_PARAMS, n=20000))])
-        rec = manifest.runs["slow"]
+        runs = sup.run([RunSpec("slow", "hpl", dict(HPL_PARAMS, n=20000))])
+        rec = runs["slow"]
         assert rec.status == FAILED
         # The pool's liveness monitor names the verdict: past the wall
         # deadline (a "slow" kill), classified transient.

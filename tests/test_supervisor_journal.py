@@ -7,8 +7,12 @@ deterministic result cache: hits must be byte-identical and free.
 
 from __future__ import annotations
 
+import errno
+import importlib.util
 import json
 import os
+import threading
+import time
 
 import pytest
 
@@ -18,10 +22,14 @@ from repro.supervisor import (
     RUNNING,
     Journal,
     JournalError,
-    Manifest,
+    MeasurementService,
     ResultCache,
+    RetryPolicy,
     RunSpec,
-    Supervisor,
+    ServiceClient,
+    ServiceCore,
+    ServiceError,
+    StorageError,
     spec_digest,
 )
 
@@ -149,15 +157,15 @@ class TestSupervisorRecovery:
     """End-to-end: a damaged sweep directory resumes or errors clearly."""
 
     def _completed_sweep(self, tmp_path):
-        sup = Supervisor(
+        sup = ServiceCore(
             str(tmp_path / "sweep"),
             backoff_s=0.0,
             checkpoint_every_s=0.04,
             workers=1,
             log=lambda msg: None,
         )
-        manifest = sup.run([RunSpec("only", "hpl", dict(HPL_PARAMS))])
-        assert manifest.runs["only"].status == DONE
+        runs = sup.run([RunSpec("only", "hpl", dict(HPL_PARAMS))])
+        assert runs["only"].status == DONE
         return sup
 
     def test_resume_with_torn_journal_tail(self, tmp_path):
@@ -165,9 +173,9 @@ class TestSupervisorRecovery:
         with open(sup.journal_path, "a") as fh:
             fh.write('{"type": "launch", "run_id": "only", "att')
         events = []
-        sup2 = Supervisor(sup.out_dir, workers=1, log=events.append)
-        manifest = sup2.run([RunSpec("only", "hpl", dict(HPL_PARAMS))], resume=True)
-        assert manifest.runs["only"].status == DONE
+        sup2 = ServiceCore(sup.out_dir, workers=1, log=events.append)
+        runs = sup2.run([RunSpec("only", "hpl", dict(HPL_PARAMS))], resume=True)
+        assert runs["only"].status == DONE
         assert any("torn line" in e for e in events)
         # The sweep is skipped, not re-run: the done event survived.
         assert any("skipped" in e for e in events)
@@ -178,7 +186,7 @@ class TestSupervisorRecovery:
         lines[1] = '{"type": "add", "run_'  # torn line NOT at the end
         with open(sup.journal_path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
-        sup2 = Supervisor(sup.out_dir, workers=1, log=lambda m: None)
+        sup2 = ServiceCore(sup.out_dir, workers=1, log=lambda m: None)
         with pytest.raises(JournalError, match="not the last line"):
             sup2.run([RunSpec("only", "hpl", dict(HPL_PARAMS))], resume=True)
 
@@ -186,36 +194,37 @@ class TestSupervisorRecovery:
         sup = self._completed_sweep(tmp_path)
         open(sup.journal_path, "w").close()  # crash before header fsync
         events = []
-        sup2 = Supervisor(
+        sup2 = ServiceCore(
             sup.out_dir,
             backoff_s=0.0,
             checkpoint_every_s=0.04,
             workers=1,
             log=events.append,
         )
-        manifest = sup2.run([RunSpec("only", "hpl", dict(HPL_PARAMS))], resume=True)
-        assert manifest.runs["only"].status == DONE
+        runs = sup2.run([RunSpec("only", "hpl", dict(HPL_PARAMS))], resume=True)
+        assert runs["only"].status == DONE
         assert any("starting fresh" in e for e in events)
 
     def test_resume_from_legacy_manifest_only_dir(self, tmp_path):
         """A pre-journal sweep directory (manifest.json, no journal)
-        imports cleanly and resumes under the journal regime."""
+        is not imported: the resume starts fresh and reruns the spec."""
         sup = self._completed_sweep(tmp_path)
         os.unlink(sup.journal_path)
+        with open(os.path.join(sup.out_dir, "manifest.json"), "w") as fh:
+            json.dump({"version": 1, "runs": {"only": {"status": "done"}}}, fh)
         events = []
-        sup2 = Supervisor(sup.out_dir, workers=1, log=events.append)
-        manifest = sup2.run([RunSpec("only", "hpl", dict(HPL_PARAMS))], resume=True)
-        assert manifest.runs["only"].status == DONE
-        assert any("legacy manifest" in e for e in events)
-        assert any("skipped" in e for e in events)
+        sup2 = ServiceCore(
+            sup.out_dir,
+            backoff_s=0.0,
+            checkpoint_every_s=0.04,
+            workers=1,
+            log=events.append,
+        )
+        runs = sup2.run([RunSpec("only", "hpl", dict(HPL_PARAMS))], resume=True)
+        assert runs["only"].status == DONE
+        assert runs["only"].attempts == 1
+        assert any("starting fresh" in e for e in events)
         assert os.path.exists(sup.journal_path)
-
-    def test_corrupt_manifest_is_a_clear_error(self, tmp_path):
-        path = str(tmp_path / "manifest.json")
-        with open(path, "w") as fh:
-            fh.write('{"version": 1, "runs": {"a"')  # truncated copy
-        with pytest.raises(ValueError, match="corrupt"):
-            Manifest.load(path)
 
 
 class TestResultCache:
@@ -255,7 +264,7 @@ class TestResultCache:
             RunSpec("r1", "hpl", dict(HPL_PARAMS)),
             RunSpec("r2", "hpl", dict(HPL_PARAMS, n=2000)),
         ]
-        sup1 = Supervisor(
+        sup1 = ServiceCore(
             str(tmp_path / "a"),
             backoff_s=0.0,
             checkpoint_every_s=0.04,
@@ -264,18 +273,18 @@ class TestResultCache:
             log=lambda m: None,
         )
         m1 = sup1.run(specs)
-        assert all(rec.status == DONE for rec in m1.runs.values())
-        assert not any(rec.cached for rec in m1.runs.values())
+        assert all(rec.status == DONE for rec in m1.values())
+        assert not any(rec.cached for rec in m1.values())
 
-        sup2 = Supervisor(
+        sup2 = ServiceCore(
             str(tmp_path / "b"),
             workers=2,
             cache_dir=cache_dir,
             log=lambda m: None,
         )
         m2 = sup2.run(specs)
-        assert all(rec.status == DONE for rec in m2.runs.values())
-        assert all(rec.cached for rec in m2.runs.values())
+        assert all(rec.status == DONE for rec in m2.values())
+        assert all(rec.cached for rec in m2.values())
         # Zero launches: no launch event journaled, no launch counted.
         launches = [
             e
@@ -649,3 +658,136 @@ class TestDaemonCrashSafety:
         # Compacted boot state was smaller than the full history.
         bak_size = os.path.getsize(journal_path + ".bak")
         assert bak_size == size_before
+
+
+def _enospc() -> OSError:
+    return OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+class TestStorageFailure:
+    """A failed journal fsync is a refusal and a clean stop: no
+    traceback, no append after the failure (a later fsync may report
+    success for pages the failed one lost), and nothing acked is lost."""
+
+    def test_failed_append_poisons_the_journal(self, tmp_path, monkeypatch):
+        path = _journal(tmp_path, [ADD_A])
+        journal = Journal(path)
+        journal.open_append()
+        calls = []
+
+        def fsync(fd):
+            calls.append(fd)
+            raise _enospc()
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        with pytest.raises(StorageError, match="storage"):
+            journal.append({"type": "cancel", "run_id": "a"})
+        size = os.path.getsize(path)
+        with pytest.raises(StorageError):
+            journal.append({"type": "complete"})
+        journal.close()
+        assert len(calls) == 1
+        assert os.path.getsize(path) == size
+
+    def test_failed_admission_refuses_stops_and_reboots(self, tmp_path, monkeypatch):
+        out = str(tmp_path / "svc")
+        kw = dict(backoff_s=0.0, checkpoint_every_s=0.04, log=lambda m: None)
+        core = ServiceCore(out, workers=1, **kw)
+        core.open()
+        service = MeasurementService(core, log=lambda m: None)
+        acked = [
+            RunSpec(f"a{i}", "hpl", dict(HPL_PARAMS, n=1000 + 100 * i))
+            for i in range(3)
+        ]
+        # ENOSPC on the journal's fsync, only inside the armed admission.
+        fault = {"armed": False, "admitting": False, "size": None, "after": 0}
+        real_fsync, real_admit = os.fsync, core.admission.admit
+
+        def admit(specs):
+            fault["admitting"] = True
+            try:
+                return real_admit(specs)
+            finally:
+                fault["admitting"] = False
+
+        def fsync(fd):
+            if os.fstat(fd).st_ino == os.stat(core.journal_path).st_ino:
+                if fault["size"] is not None:
+                    fault["after"] += 1
+                elif fault["armed"] and fault["admitting"]:
+                    fault["size"] = os.path.getsize(core.journal_path)
+                    raise _enospc()
+            real_fsync(fd)
+
+        monkeypatch.setattr(core.admission, "admit", admit)
+        monkeypatch.setattr(os, "fsync", fsync)
+        errors = []
+
+        def serve():
+            try:
+                service.serve(handle_signals=False)
+            except BaseException as exc:
+                errors.append(exc)
+
+        thread = threading.Thread(target=serve)
+        thread.start()
+        try:
+            client = ServiceClient(
+                service.socket_path,
+                retry=RetryPolicy(attempts=3, base_s=0.05, jitter_seed=0),
+            )
+            deadline = time.monotonic() + 10
+            while not os.path.exists(service.socket_path):
+                assert time.monotonic() < deadline, "daemon never bound"
+                time.sleep(0.01)
+            assert all(
+                v["disposition"] == "admitted" for v in client.submit(acked)
+            )
+            fault["armed"] = True
+            with pytest.raises(ServiceError, match="storage"):
+                client.submit([RunSpec("b", "hpl", dict(HPL_PARAMS, n=1400))])
+            thread.join(timeout=30)
+            assert not thread.is_alive(), "serve() kept running"
+        finally:
+            if thread.is_alive():
+                service._shutdown = True
+                core.request_drain()
+                thread.join(timeout=30)
+            core.close()
+            monkeypatch.undo()
+
+        assert len(errors) == 1 and isinstance(errors[0], StorageError)
+        # No append after the failure: close() wrote nothing either.
+        assert fault["after"] == 0
+        assert os.path.getsize(core.journal_path) == fault["size"]
+
+        reboot = ServiceCore(out, workers=2, **kw)
+        runs = reboot.run([], resume=True)
+        for spec in acked:
+            assert runs[spec.run_id].status == DONE
+
+    def test_sweep_exits_with_the_journal_code(self, tmp_path, monkeypatch, capsys):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        loader = importlib.util.spec_from_file_location(
+            "sweep_under_test", os.path.join(root, "tools", "sweep.py")
+        )
+        sweep = importlib.util.module_from_spec(loader)
+        loader.loader.exec_module(sweep)
+        out = str(tmp_path / "sweep")
+        journal_path = os.path.join(out, "journal.jsonl")
+        real_fsync = os.fsync
+        journal_syncs = []
+
+        def fsync(fd):
+            if os.fstat(fd).st_ino == os.stat(journal_path).st_ino:
+                journal_syncs.append(fd)
+                if len(journal_syncs) == 2:  # the header, then admission
+                    raise _enospc()
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        code = sweep.main(["--out", out, "--workers", "1"])
+        assert code == sweep.EXIT_JOURNAL
+        assert len(journal_syncs) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "storage" in err[0]

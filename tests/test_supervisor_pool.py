@@ -31,7 +31,6 @@ from repro.supervisor import (
     RunContext,
     RunSpec,
     ServiceCore,
-    Supervisor,
     backoff_delay,
     default_worker_count,
 )
@@ -104,7 +103,7 @@ class TestBackoffSchedule:
         exactly clock + backoff_delay(...) — verified on a fake clock, so
         the whole backoff wait costs zero wall time."""
         ft = FakeTime()
-        sup = Supervisor(
+        sup = ServiceCore(
             str(tmp_path / "sweep"),
             max_attempts=3,
             backoff_s=0.5,
@@ -119,7 +118,7 @@ class TestBackoffSchedule:
             clock=ft.clock,
             sleep=ft.sleep,
         )
-        manifest = sup.run(
+        runs = sup.run(
             [
                 RunSpec(
                     "crashy",
@@ -128,8 +127,8 @@ class TestBackoffSchedule:
                 )
             ]
         )
-        assert manifest.runs["crashy"].status == DONE
-        assert manifest.runs["crashy"].attempts == 3
+        assert runs["crashy"].status == DONE
+        assert runs["crashy"].attempts == 3
 
         retries = _journal_events(sup, "retry")
         assert [r["next_attempt"] for r in retries] == [2, 3]
@@ -147,7 +146,7 @@ class TestBackoffSchedule:
 
 class TestConcurrency:
     def test_jobs_spread_across_slots(self, tmp_path):
-        sup = Supervisor(
+        sup = ServiceCore(
             str(tmp_path / "sweep"),
             backoff_s=0.0,
             checkpoint_every_s=0.04,
@@ -158,8 +157,8 @@ class TestConcurrency:
             RunSpec(f"job{i}", "hpl", dict(HPL_PARAMS, n=1000 + 100 * i))
             for i in range(4)
         ]
-        manifest = sup.run(specs)
-        assert all(rec.status == DONE for rec in manifest.runs.values())
+        runs = sup.run(specs)
+        assert all(rec.status == DONE for rec in runs.values())
         slots = {e["slot"] for e in _journal_events(sup, "launch")}
         assert slots == {0, 1}
         assert sup.metrics.counters[("fleet.launch", None)] == 4.0
@@ -171,7 +170,7 @@ class TestLiveness:
         """A worker heartbeating with frozen sim time is stuck: killed,
         requeued on a different slot, resumed from checkpoint, and the
         final result is bit-identical to a run that never stalled."""
-        sup = Supervisor(
+        sup = ServiceCore(
             str(tmp_path / "sweep"),
             max_attempts=3,
             backoff_s=0.0,
@@ -181,7 +180,7 @@ class TestLiveness:
             workers=2,
             log=lambda m: None,
         )
-        manifest = sup.run(
+        runs = sup.run(
             [
                 RunSpec("steady", "hpl", dict(HPL_PARAMS)),
                 RunSpec(
@@ -191,7 +190,7 @@ class TestLiveness:
                 ),
             ]
         )
-        staller = manifest.runs["staller"]
+        staller = runs["staller"]
         assert staller.status == DONE
         assert staller.attempts == 2
         assert staller.migrations == 1
@@ -229,7 +228,7 @@ class TestLiveness:
     def test_timeout_kill_takes_the_whole_process_group(self, tmp_path):
         """Zombie-window regression: a worker that spawned a helper and
         wedged is killed as a *group*, so the helper dies with it."""
-        sup = Supervisor(
+        sup = ServiceCore(
             str(tmp_path / "sweep"),
             max_attempts=1,
             backoff_s=0.0,
@@ -238,8 +237,8 @@ class TestLiveness:
             workers=1,
             log=lambda m: None,
         )
-        manifest = sup.run([RunSpec("wedge", "spawner", {})])
-        rec = manifest.runs["wedge"]
+        runs = sup.run([RunSpec("wedge", "spawner", {})])
+        rec = runs["wedge"]
         assert rec.status == FAILED
         assert rec.last_error["type"] == "StuckWorker"
 
@@ -266,7 +265,7 @@ class TestDrain:
         """SIGTERM path: drain mid-run → worker checkpoints and exits
         preempted (no attempt burned) → --resume finishes the run
         bit-identical to an uninterrupted control run."""
-        control = Supervisor(
+        control = ServiceCore(
             str(tmp_path / "control"),
             backoff_s=0.0,
             checkpoint_every_s=0.04,
@@ -277,7 +276,7 @@ class TestDrain:
         control.run([RunSpec("big", "hpl", big)])
         digest = _result(control, "big")["state_digest"]
 
-        sup = Supervisor(
+        sup = ServiceCore(
             str(tmp_path / "sweep"),
             backoff_s=0.0,
             checkpoint_every_s=0.04,
@@ -287,11 +286,11 @@ class TestDrain:
         timer = threading.Timer(0.6, sup.request_drain)
         timer.start()
         try:
-            manifest = sup.run([RunSpec("big", "hpl", big)])
+            runs = sup.run([RunSpec("big", "hpl", big)])
         finally:
             timer.cancel()
         assert sup.drained
-        rec = manifest.runs["big"]
+        rec = runs["big"]
         assert rec.status == PENDING
         assert rec.attempts == 0  # preemption refunded the attempt
         assert rec.checkpoint_path and os.path.exists(rec.checkpoint_path)
@@ -299,15 +298,15 @@ class TestDrain:
         assert preempts and preempts[0]["checkpoint_path"]
         assert _journal_events(sup, "drain")
 
-        sup2 = Supervisor(
+        sup2 = ServiceCore(
             str(tmp_path / "sweep"),
             backoff_s=0.0,
             checkpoint_every_s=0.04,
             workers=1,
             log=lambda m: None,
         )
-        manifest2 = sup2.run([RunSpec("big", "hpl", big)], resume=True)
-        rec2 = manifest2.runs["big"]
+        runs2 = sup2.run([RunSpec("big", "hpl", big)], resume=True)
+        rec2 = runs2["big"]
         assert rec2.status == DONE
         assert rec2.attempts == 1  # the preempted attempt was free
         launches = _journal_events(sup2, "launch")
@@ -370,10 +369,10 @@ class TestZygote:
         assert core.pool._zygote.exit_code == 0  # left on EOF, not killed
 
     def test_one_shot_supervisor_reaps_its_zygote(self, tmp_path):
-        sup = Supervisor(str(tmp_path / "sweep"), workers=1, log=lambda m: None)
+        sup = ServiceCore(str(tmp_path / "sweep"), workers=1, log=lambda m: None)
         sup.run([RunSpec("r1", "hpl", dict(HPL_PARAMS))])
-        assert sup.core.pool._zygote.exit_code == 0
-        assert _gone(sup.core.pool._zygote.pid)
+        assert sup.pool._zygote.exit_code == 0
+        assert _gone(sup.pool._zygote.pid)
 
     def test_zygote_death_mid_fleet_retries_and_converges(self, tmp_path):
         """SIGKILL the zygote while two workers run: their groups are
@@ -383,7 +382,7 @@ class TestZygote:
             RunSpec(f"job{i}", "hpl", dict(HPL_PARAMS, n=8000 + 500 * i))
             for i in range(4)
         ]
-        calm = Supervisor(
+        calm = ServiceCore(
             str(tmp_path / "calm"),
             backoff_s=0.0,
             checkpoint_every_s=0.04,
@@ -472,7 +471,7 @@ class TestStateIsolation:
         )
         set_global_counter_state({"kernel.perf.next_event_id": 777})
         try:
-            sup = Supervisor(
+            sup = ServiceCore(
                 str(tmp_path / "pool"),
                 checkpoint_every_s=0.04,
                 workers=1,

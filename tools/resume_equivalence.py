@@ -46,6 +46,7 @@ import time
 
 TOOLS = os.path.dirname(os.path.abspath(__file__))
 SWEEP = os.path.join(TOOLS, "sweep.py")
+sys.path.insert(0, os.path.join(os.path.dirname(TOOLS), "src"))
 
 SWEEP_ARGS = [
     "--preset", "quick",
@@ -82,9 +83,9 @@ DAEMON_SUBMIT_ARGS = [
 
 
 # -- journal reading ---------------------------------------------------------
-# The journal is the live record (the manifest is only materialized at
-# start/exit), so mid-flight progress watching reads journal.jsonl.
-# Tolerant by design: a torn tail is expected while the writer is alive.
+# The journal is the only record of run state, so mid-flight progress
+# watching reads journal.jsonl.  Tolerant by design: a torn tail is
+# expected while the writer is alive.
 
 
 def journal_events(out_dir: str) -> list[dict]:
@@ -327,12 +328,13 @@ def finish_daemon(out_dir: str) -> None:
 
 
 def collect_results(out_dir: str) -> dict[str, dict]:
-    with open(os.path.join(out_dir, "manifest.json")) as fh:
-        manifest = json.load(fh)
+    from repro.supervisor.journal import Journal
+
+    records = Journal.replay(os.path.join(out_dir, "journal.jsonl")).records
     results = {}
-    for rid, rec in manifest["runs"].items():
-        if rec["status"] != "done":
-            raise SystemExit(f"run {rid} in {out_dir} is {rec['status']}, not done")
+    for rid, rec in records.items():
+        if rec.status != "done":
+            raise SystemExit(f"run {rid} in {out_dir} is {rec.status}, not done")
         with open(os.path.join(out_dir, rid, "result.json")) as fh:
             results[rid] = json.load(fh)
     return results

@@ -34,7 +34,8 @@ state — orphaned workers reaped, queued jobs still queued.
 Exit codes: 0 success; 1 failures (or unfinished runs); 3 drained on
 SIGTERM (``--resume`` or re-``serve`` finishes the job); 4 the journal
 is corrupt and cannot be trusted (restore ``journal.jsonl`` or its
-``.bak``, or start fresh).
+``.bak``, or start fresh), or a journal write failed (free space, then
+``--resume`` or re-``serve``).
 """
 
 from __future__ import annotations
@@ -62,7 +63,6 @@ from repro.supervisor import (  # noqa: E402
     ServiceClient,
     ServiceCore,
     ServiceError,
-    Supervisor,
     socket_path_for,
 )
 
@@ -70,7 +70,9 @@ from repro.supervisor import (  # noqa: E402
 EXIT_DRAINED = 3
 #: Exit code when the journal is corrupt (mid-file tear, bad version,
 #: unknown events): nothing was touched; restore the journal (or its
-#: ``.bak`` from the last compaction) or start a fresh out dir.
+#: ``.bak`` from the last compaction) or start a fresh out dir.  Also
+#: when a journal append failed (StorageError): what it acknowledged is
+#: durable, and ``--resume`` / re-``serve`` finishes the rest.
 EXIT_JOURNAL = 4
 
 #: Sweep presets: problem sizes kept small enough to iterate on quickly.
@@ -152,8 +154,8 @@ def inject_chaos(runs: list[RunSpec], seed: int) -> None:
     print(f"[sweep] chaos seed {seed}: {', '.join(injected) or 'no faults drawn'}")
 
 
-def print_metrics(supervisor: Supervisor) -> None:
-    counters = supervisor.metrics.as_dict()["counters"]
+def print_metrics(core: ServiceCore) -> None:
+    counters = core.metrics.as_dict()["counters"]
     keys = (
         "fleet.launch",
         "fleet.done",
@@ -397,7 +399,7 @@ def run_one_shot(argv) -> int:
     if args.dry_run:
         return dry_run_plan(args, runs)
 
-    supervisor = Supervisor(
+    core = ServiceCore(
         args.out,
         max_attempts=args.max_attempts,
         backoff_s=args.backoff_s,
@@ -413,19 +415,19 @@ def run_one_shot(argv) -> int:
         # Async-signal-safe only: one os.write plus the flag-setting
         # drain request (print() allocates and can reenter stdout's
         # buffered writer mid-flush).
-        supervisor.request_drain()
+        core.request_drain()
         os.write(
             2,
             b"[sweep] SIGTERM: draining (checkpoint in-flight, keep journal)\n",
         )
 
     signal.signal(signal.SIGTERM, on_sigterm)
-    manifest = supervisor.run(runs, resume=args.resume)
+    records = core.run(runs, resume=args.resume)
 
     print()
     print(f"{'run':28s} {'status':8s} {'att':>3s} {'gflops':>9s} {'energy J':>9s}")
     failed = pending = 0
-    for rid, rec in sorted(manifest.runs.items()):
+    for rid, rec in sorted(records.items()):
         gflops = energy = ""
         if rec.status == DONE and rec.result_path and os.path.exists(rec.result_path):
             with open(rec.result_path) as fh:
@@ -437,12 +439,11 @@ def run_one_shot(argv) -> int:
         else:
             pending += 1
         print(f"{rid:28s} {rec.status:8s} {rec.attempts:3d} {gflops:>9s} {energy:>9s}")
-    print(f"\nmanifest: {manifest.path}")
-    print(f"journal:  {supervisor.journal_path}")
-    print_metrics(supervisor)
+    print(f"\njournal: {core.journal_path}")
+    print_metrics(core)
     if failed:
         return 1
-    if supervisor.drained and pending:
+    if core.drained and pending:
         print(f"[sweep] drained with {pending} run(s) pending; "
               f"rerun with --resume to finish")
         return EXIT_DRAINED
@@ -463,9 +464,10 @@ def main(argv=None) -> int:
             return handler(argv[1:])
         return run_one_shot(argv)
     except JournalError as exc:
-        # A journal this code refuses to trust: nothing was modified.
-        # Distinct exit code, no traceback — the operator decides
-        # whether to restore journal.jsonl / its .bak or start fresh.
+        # A journal this code refuses to trust (nothing was modified)
+        # or cannot write to.  Distinct exit code, no traceback — the
+        # operator restores journal.jsonl / its .bak, frees space, or
+        # starts fresh.
         print(f"[sweep] journal error: {exc}", file=sys.stderr)
         return EXIT_JOURNAL
     except ServiceError as exc:
